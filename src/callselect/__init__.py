@@ -31,10 +31,9 @@ from .featurize import (
     BIN_LABELS,
     DecisionTable,
     FeatureVectorTable,
-    GraphFeatureRow,
     build_fvt,
     discretize,
-    graph_features,
+    label_codes,
     minmax_columns,
     read_decision_table_csv,
     relative_frequency_table,
@@ -45,7 +44,6 @@ from .ingest import (
     IngestResult,
     ParseSummary,
     TraceLine,
-    call_sequence,
     ingest_corpus,
     parse_line,
     parse_log,
@@ -62,13 +60,10 @@ from .oracles import (
     random_decision_table,
 )
 from .roughset import (
-    Approximation,
     Partition,
     Reduct,
     ReductStep,
-    approximate,
     generate_reduct,
-    most_significant_call,
     partition,
     positive_region,
     significance,

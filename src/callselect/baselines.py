@@ -35,22 +35,10 @@ def entropy_bits(counts: Sequence[int] | np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _bin_column(table: DecisionTable, call: str) -> np.ndarray:
-    try:
-        j = table.calls.index(call)
-    except ValueError:
-        raise ConfigError(f"unknown call: {call!r}") from None
-    return table.bins[:, j]
-
-
-def _label01(labels: Sequence[str]) -> np.ndarray:
-    return np.fromiter((1 if lab == "M" else 0 for lab in labels), dtype=np.int64)
-
-
 def information_gain(table: DecisionTable, call: str) -> float:
     """H(labels) - H(labels | bins of call), in bits."""
-    bins = _bin_column(table, call)
-    y = _label01(table.labels)
+    bins = table.column(call)
+    y = table.y
     n = len(y)
     if n == 0:
         raise ConfigError("cannot score an empty table")
@@ -66,7 +54,7 @@ def information_gain(table: DecisionTable, call: str) -> float:
 def chi_square(fvt: FeatureVectorTable, call: str) -> float:
     """2x2 presence/absence chi-square statistic; zero marginals score 0."""
     present = fvt.column(call) > 0
-    y = _label01(fvt.labels)
+    y = fvt.y
     a = int(np.sum(present & (y == 1)))  # malware containing the call
     b = int(np.sum(present & (y == 0)))  # benign containing the call
     c = int(np.sum(~present & (y == 1)))
@@ -80,8 +68,8 @@ def chi_square(fvt: FeatureVectorTable, call: str) -> float:
 
 def symmetric_uncertainty(table: DecisionTable, call: str) -> float:
     """2*IG / (H(bins) + H(labels)); 0 when both entropies vanish."""
-    bins = _bin_column(table, call)
-    y = _label01(table.labels)
+    bins = table.column(call)
+    y = table.y
     h_bins = entropy_bits(np.bincount(bins, minlength=5))
     h_labels = entropy_bits(np.bincount(y, minlength=2))
     denom = h_bins + h_labels

@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError
-from .featurize import FeatureVectorTable
+from .featurize import FeatureVectorTable, label_codes
 from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES, predict, predict_scores, train
 
 METRIC_NAMES = ("acc", "fpr", "paper_auc", "roc_auc", "f1")
@@ -73,17 +72,29 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
     return MetricSet(acc=acc, fpr=fpr, paper_auc=paper_auc, f1=f1)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts_group = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.flatnonzero(starts_group)
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(starts_group) - 1]
+    return ranks
+
+
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     """Probability a random malware score outranks a random benign one; ties count half."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size != len(labels):
         raise ConfigError("scores and labels must have equal length")
-    y = np.fromiter((1 if lab == "M" else 0 for lab in labels), dtype=np.int64)
+    y = label_codes(labels)
     n1 = int(y.sum())
     n0 = y.size - n1
     if n1 == 0 or n0 == 0:
         raise ConfigError("roc_auc needs both labels present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 

@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,55 @@ BIN_LABELS = ("B1", "B2", "B3", "B4")
 _BIN_EDGES = np.array([0.25, 0.5, 0.75])
 
 
+_LABEL_CODES = {"M": 1, "B": 0}
+
+
+def label_codes(labels: Sequence[str]) -> np.ndarray:
+    """Malware 1, benign 0, as int8; any other label is a ConfigError."""
+    try:
+        return np.fromiter((_LABEL_CODES[lab] for lab in labels), dtype=np.int8,
+                           count=len(labels))
+    except KeyError as exc:
+        raise ConfigError(f"labels must be M or B, got {exc.args[0]!r}") from None
+
+
+class _Table:
+    """What both tables share, checked when the table is built: ids and
+    labels aligned with the matrix rows, calls with its columns, the 0/1
+    label codes ``y`` and the name-to-column lookup."""
+
+    sample_ids: tuple[str, ...]
+    calls: tuple[str, ...]
+    labels: tuple[str, ...]
+    y: np.ndarray  # label_codes(labels), int8
+
+    def _check(self, matrix: np.ndarray, what: str) -> None:
+        expected = (len(self.sample_ids), len(self.calls))
+        if not isinstance(matrix, np.ndarray) or matrix.shape != expected:
+            raise ConfigError(
+                f"{what} must be an array of shape {expected} "
+                f"(sample ids x calls), got {np.shape(matrix)}"
+            )
+        if len(self.labels) != expected[0]:
+            raise ConfigError(
+                f"{len(self.labels)} labels for {expected[0]} sample ids"
+            )
+        object.__setattr__(self, "y", label_codes(self.labels))
+        object.__setattr__(self, "_index", {c: j for j, c in enumerate(self.calls)})
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.sample_ids)
+
+    def column_index(self, call: str) -> int:
+        try:
+            return self._index[call]
+        except KeyError:
+            raise ConfigError(f"unknown call: {call!r}") from None
+
+
 @dataclass(frozen=True)
-class FeatureVectorTable:
+class FeatureVectorTable(_Table):
     """Samples x calls weight matrix with aligned ids and labels."""
 
     sample_ids: tuple[str, ...]
@@ -34,25 +81,15 @@ class FeatureVectorTable:
     weights: np.ndarray  # shape (len(sample_ids), len(calls)), float64 in [0, 1]
     labels: tuple[str, ...]
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
+    def __post_init__(self) -> None:
+        self._check(self.weights, "weights")
 
     def column(self, call: str) -> np.ndarray:
-        try:
-            j = self.calls.index(call)
-        except ValueError:
-            raise ConfigError(f"unknown call: {call!r}") from None
-        return self.weights[:, j]
+        return self.weights[:, self.column_index(call)]
 
     def restrict(self, calls: Sequence[str]) -> "FeatureVectorTable":
         """Project onto the given calls, keeping their order."""
-        idx = []
-        for c in calls:
-            try:
-                idx.append(self.calls.index(c))
-            except ValueError:
-                raise ConfigError(f"unknown call: {c!r}") from None
+        idx = [self.column_index(c) for c in calls]
         return FeatureVectorTable(
             sample_ids=self.sample_ids,
             calls=tuple(calls),
@@ -66,7 +103,7 @@ class FeatureVectorTable:
 
 
 @dataclass(frozen=True)
-class DecisionTable:
+class DecisionTable(_Table):
     """Discretized table: conditional attributes are calls, decision is the label."""
 
     sample_ids: tuple[str, ...]
@@ -74,9 +111,18 @@ class DecisionTable:
     bins: np.ndarray  # shape (samples, calls), int8 values 1..4
     labels: tuple[str, ...]
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
+    def __post_init__(self) -> None:
+        self._check(self.bins, "bins")
+        # The partition kernel keys rows in base 5, so a 0 or a 5 would
+        # collide with a neighbouring key.
+        bins = self.bins
+        if not np.issubdtype(bins.dtype, np.integer) or (
+            bins.size and not 1 <= bins.min() <= bins.max() <= 4
+        ):
+            raise ConfigError("bins must be integers in 1..4")
+
+    def column(self, call: str) -> np.ndarray:
+        return self.bins[:, self.column_index(call)]
 
     def to_csv(self, path: str | Path) -> None:
         names = [[BIN_LABELS[b - 1] for b in row] for row in self.bins]
@@ -111,8 +157,6 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
             bin_rows.append([BIN_LABELS.index(cell) + 1 for cell in row[1:-1]])
         except ValueError:
             raise ConfigError(f"bin values must be one of {BIN_LABELS}: {row!r}") from None
-    if any(lab not in ("M", "B") for lab in labels):
-        raise ConfigError("decision table labels must be M or B")
     return DecisionTable(
         sample_ids=tuple(sample_ids),
         calls=calls,
@@ -211,56 +255,4 @@ def discretize(fvt: FeatureVectorTable) -> DecisionTable:
         calls=fvt.calls,
         bins=bins,
         labels=fvt.labels,
-    )
-
-
-@dataclass(frozen=True)
-class GraphFeatureRow:
-    """Weighted in/out degree summary of one call-adjacency graph."""
-
-    sample_id: str
-    vocabulary: tuple[str, ...]
-    in_degrees: np.ndarray
-    out_degrees: np.ndarray
-    in_mean: float
-    in_std: float
-    out_mean: float
-    out_std: float
-
-
-def graph_features(
-    sequence: Sequence[str],
-    vocabulary: Iterable[str] | None = None,
-    sample_id: str = "",
-) -> GraphFeatureRow:
-    """Directed adjacency graph of consecutive calls, one edge weight per pair occurrence.
-
-    Degree statistics are taken over the full vocabulary, so calls that
-    never appear contribute zeros.
-    """
-    vocab = tuple(sorted(set(sequence))) if vocabulary is None else tuple(vocabulary)
-    col = {name: j for j, name in enumerate(vocab)}
-    unknown = [c for c in sequence if c not in col]
-    if unknown:
-        raise ConfigError(f"sequence call {unknown[0]!r} not in vocabulary")
-    in_deg = np.zeros(len(vocab), dtype=np.float64)
-    out_deg = np.zeros(len(vocab), dtype=np.float64)
-    for src, dst in zip(sequence, sequence[1:]):
-        out_deg[col[src]] += 1.0
-        in_deg[col[dst]] += 1.0
-    def _stats(v: np.ndarray) -> tuple[float, float]:
-        if v.size == 0:
-            return 0.0, 0.0
-        return float(v.mean()), float(v.std())
-    in_mean, in_std = _stats(in_deg)
-    out_mean, out_std = _stats(out_deg)
-    return GraphFeatureRow(
-        sample_id=sample_id,
-        vocabulary=vocab,
-        in_degrees=in_deg,
-        out_degrees=out_deg,
-        in_mean=in_mean,
-        in_std=in_std,
-        out_mean=out_mean,
-        out_std=out_std,
     )

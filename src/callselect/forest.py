@@ -15,6 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError
+from .featurize import label_codes
 
 DEFAULT_TREES = 100
 DEFAULT_MAX_DEPTH = 16
@@ -102,13 +103,6 @@ def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     return Split(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def _labels_to01(labels: Sequence[str]) -> np.ndarray:
-    bad = [lab for lab in labels if lab not in ("M", "B")]
-    if bad:
-        raise ConfigError(f"labels must be M or B, got {bad[0]!r}")
-    return np.fromiter((1 if lab == "M" else 0 for lab in labels), dtype=np.int64)
-
-
 def train(
     X: np.ndarray,
     labels: Sequence[str],
@@ -127,7 +121,7 @@ def train(
         raise ConfigError(f"trees_count must be >= 1, got {trees_count}")
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    y = _labels_to01(labels)
+    y = label_codes(labels)
     if len(np.unique(y)) < 2:
         raise ConfigError("training data must contain both labels")
     n, d = X.shape

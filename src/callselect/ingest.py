@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -22,9 +22,15 @@ LINE_KINDS = ("call", "unfinished", "resumed", "signal", "exit", "garbage")
 
 LABELS = ("M", "B")
 
-# Optional pid column emitted by strace -f.
-# Example: "1234  close(3) = 0"
-_PID_PREFIX = re.compile(r"^\d+\s+")
+# Optional pid column emitted by strace -f, then an optional timestamp
+# from strace -t, -tt or -ttt.
+# Examples: "1234  close(3) = 0" (log file), "[pid  1234] close(3) = 0"
+# (terminal), "10:00:01 close(3) = 0", "10:00:01.123456 close(3) = 0",
+# "1697623201.123456 close(3) = 0", "[pid  1234] 10:00:01 close(3) = 0"
+_PREFIX = re.compile(
+    r"(?:(?:\[pid\s+\d+\]|\d+)\s+)?"
+    r"(?:(?:\d{1,2}:\d{2}:\d{2}(?:\.\d+)?|\d+\.\d+)\s+)?"
+)
 
 # A call line starts with the call name, the maximal identifier prefix
 # immediately followed by "(".
@@ -85,7 +91,7 @@ class IngestResult:
 def parse_line(line: str) -> TraceLine:
     """Classify one log line. Never raises."""
     text = line.strip()
-    text = _PID_PREFIX.sub("", text)
+    text = text[_PREFIX.match(text).end():]  # every part is optional, so it always matches
     if not text:
         return TraceLine(line, "garbage")
     if text.startswith("+++") and text.endswith("+++"):
@@ -104,20 +110,6 @@ def parse_line(line: str) -> TraceLine:
     return TraceLine(line, "garbage")
 
 
-def classify_lines(lines: Iterable[str]) -> Iterator[TraceLine]:
-    for line in lines:
-        yield parse_line(line)
-
-
-def call_sequence(lines: Iterable[str]) -> list[str]:
-    """Ordered call names of the countable lines (call + unfinished)."""
-    return [
-        t.call_name
-        for t in classify_lines(lines)
-        if t.kind in ("call", "unfinished") and t.call_name is not None
-    ]
-
-
 def parse_log_detailed(
     lines: Iterable[str], sample_id: str, label: str, path: str = ""
 ) -> tuple[CallCountRecord, ParseSummary]:
@@ -125,7 +117,7 @@ def parse_log_detailed(
         raise ConfigError(f"label must be one of {LABELS}, got {label!r}")
     counts: Counter[str] = Counter()
     kinds = {k: 0 for k in LINE_KINDS}
-    for t in classify_lines(lines):
+    for t in map(parse_line, lines):
         kinds[t.kind] += 1
         if t.kind in ("call", "unfinished"):
             counts[t.call_name] += 1

@@ -22,12 +22,7 @@ EXHAUSTIVE_ATTR_LIMIT = 15
 
 def naive_positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:
     """A sample is positive iff no differently labeled sample matches it on attrs."""
-    names = sorted(set(attrs))
-    lookup = {name: j for j, name in enumerate(table.calls)}
-    for name in names:
-        if name not in lookup:
-            raise ConfigError(f"unknown attribute: {name!r}")
-    cols = [lookup[name] for name in names]
+    cols = [table.column_index(name) for name in sorted(set(attrs))]
     rows = [tuple(int(table.bins[i, j]) for j in cols) for i in range(table.n_samples)]
     pos = set()
     for i in range(table.n_samples):

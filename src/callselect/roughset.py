@@ -7,13 +7,16 @@ fraction of samples inside the positive region. The greedy reduct adds
 the attribute with the best significance gain each round and then prunes
 attributes whose removal leaves significance unchanged.
 
-Partitioning groups rows through a hashed key index, so the work grows as
-attributes x samples with cheap lookups rather than pairwise comparison.
+Every question here is answered by one numpy kernel: rows start in one
+block and each attribute refines the block ids (id * 5 + bin, renumbered
+through np.unique), so the work grows as attributes x samples rather
+than with pairwise comparison. Label purity of the blocks then comes from
+two bincounts over the 0/1 label codes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -28,12 +31,6 @@ class Partition:
     attrs: tuple[str, ...]
     blocks: tuple[tuple[int, ...], ...]
     n_samples: int
-
-
-@dataclass(frozen=True)
-class Approximation:
-    lower: frozenset[int]
-    upper: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -64,99 +61,65 @@ class Reduct:
         }
 
 
-def _column_indices(table: DecisionTable, attrs: Iterable[str]) -> list[int]:
-    lookup = {name: j for j, name in enumerate(table.calls)}
-    cols = []
-    for name in attrs:
-        if name not in lookup:
-            raise ConfigError(f"unknown attribute: {name!r}")
-        cols.append(lookup[name])
-    return cols
-
-
-def partition(table: DecisionTable, attrs: Iterable[str]) -> Partition:
-    """Group rows by their value tuple over attrs; no attrs means one block."""
-    names = tuple(sorted(set(attrs)))
-    cols = _column_indices(table, names)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(table.n_samples):
-        key = tuple(int(table.bins[i, j]) for j in cols)
-        groups.setdefault(key, []).append(i)
-    blocks = sorted(groups.values(), key=lambda block: block[0])
-    return Partition(
-        attrs=names,
-        blocks=tuple(tuple(b) for b in blocks),
-        n_samples=table.n_samples,
-    )
-
-
-def approximate(part: Partition, target: Iterable[int]) -> Approximation:
-    """Lower/upper approximation of a sample set under a partition."""
-    wanted = set(target)
-    for i in wanted:
-        if not 0 <= i < part.n_samples:
-            raise ConfigError(f"target index {i} outside 0..{part.n_samples - 1}")
-    lower: set[int] = set()
-    upper: set[int] = set()
-    for block in part.blocks:
-        members = set(block)
-        if members <= wanted:
-            lower |= members
-        if members & wanted:
-            upper |= members
-    return Approximation(lower=frozenset(lower), upper=frozenset(upper))
-
-
-def positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:
-    """Rows in label-pure indiscernibility blocks."""
-    part = partition(table, attrs)
-    pos: set[int] = set()
-    for block in part.blocks:
-        first = table.labels[block[0]]
-        if all(table.labels[i] == first for i in block):
-            pos.update(block)
-    return frozenset(pos)
-
-
-def significance(table: DecisionTable, attrs: Iterable[str]) -> float:
-    if table.n_samples == 0:
-        raise ConfigError("cannot score an empty table")
-    return len(positive_region(table, attrs)) / table.n_samples
-
-
-def most_significant_call(table: DecisionTable) -> str:
-    """Single call with the largest significance; ties break lexicographically."""
-    if not table.calls:
-        raise ConfigError("table has no attributes")
-    best_name, best_size = None, -1
-    for name in sorted(table.calls):
-        size = len(positive_region(table, [name]))
-        if size > best_size:
-            best_name, best_size = name, size
-    return best_name
-
-
-def _labels01(table: DecisionTable) -> np.ndarray:
-    return np.fromiter(
-        (1 if lab == "M" else 0 for lab in table.labels), dtype=np.int64,
-        count=table.n_samples,
-    )
-
-
 def _refine(ids: np.ndarray, column: np.ndarray) -> np.ndarray:
-    # Bin values are 1..4, so base 5 keeps keys collision free; recompressing
-    # through unique keeps ids small across rounds.
+    # Bin values are 1..4 (the table checks this), so base 5 keeps keys
+    # collision free; recompressing through unique keeps ids small across
+    # rounds.
     combined = ids * 5 + column
     _, new_ids = np.unique(combined, return_inverse=True)
     return new_ids
 
 
-def _pos_size(ids: np.ndarray, y01: np.ndarray) -> int:
+def _block_ids(bins: np.ndarray, cols: Iterable[int]) -> np.ndarray:
+    """Indiscernibility block id per row under the given columns."""
+    ids = np.zeros(bins.shape[0], dtype=np.int64)
+    for j in cols:
+        ids = _refine(ids, bins[:, j])
+    return ids
+
+
+def _pure_blocks(ids: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per block id: whether all its rows share one label, and its size."""
     k = int(ids.max()) + 1 if ids.size else 0
-    ones = np.bincount(ids[y01 == 1], minlength=k)
-    zeros = np.bincount(ids[y01 == 0], minlength=k)
-    pure = (ones == 0) | (zeros == 0)
-    return int((ones + zeros)[pure].sum())
+    ones = np.bincount(ids[y == 1], minlength=k)
+    zeros = np.bincount(ids[y == 0], minlength=k)
+    return (ones == 0) | (zeros == 0), ones + zeros
+
+
+def _pos_size(ids: np.ndarray, y: np.ndarray) -> int:
+    pure, sizes = _pure_blocks(ids, y)
+    return int(sizes[pure].sum())
+
+
+def _attr_ids(table: DecisionTable, attrs: Iterable[str]) -> np.ndarray:
+    return _block_ids(table.bins, [table.column_index(a) for a in attrs])
+
+
+def partition(table: DecisionTable, attrs: Iterable[str]) -> Partition:
+    """Group rows by their value tuple over attrs; no attrs means one block."""
+    names = tuple(sorted(set(attrs)))
+    ids = _attr_ids(table, names)
+    order = np.argsort(ids, kind="stable")
+    cuts = np.flatnonzero(np.diff(ids[order])) + 1
+    blocks = [tuple(b.tolist()) for b in np.split(order, cuts)] if ids.size else []
+    return Partition(
+        attrs=names,
+        blocks=tuple(sorted(blocks, key=lambda block: block[0])),
+        n_samples=table.n_samples,
+    )
+
+
+def positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:
+    """Rows in label-pure indiscernibility blocks."""
+    ids = _attr_ids(table, attrs)
+    pure, _ = _pure_blocks(ids, table.y)
+    return frozenset(np.flatnonzero(pure[ids]).tolist())
+
+
+def significance(table: DecisionTable, attrs: Iterable[str]) -> float:
+    if table.n_samples == 0:
+        raise ConfigError("cannot score an empty table")
+    return _pos_size(_attr_ids(table, attrs), table.y) / table.n_samples
 
 
 def generate_reduct(table: DecisionTable) -> Reduct:
@@ -176,26 +139,21 @@ def generate_reduct(table: DecisionTable) -> Reduct:
     if len(set(table.labels)) < 2:
         raise ConfigError("reduct needs both labels present")
 
-    y01 = _labels01(table)
+    y = table.y
     n = table.n_samples
-    col = {name: j for j, name in enumerate(table.calls)}
     bins = table.bins.astype(np.int64)
-
-    ids_all = np.zeros(n, dtype=np.int64)
-    for name in table.calls:
-        ids_all = _refine(ids_all, bins[:, col[name]])
-    target = _pos_size(ids_all, y01)
+    target = _pos_size(_block_ids(bins, range(len(table.calls))), y)
 
     chosen: list[str] = []
     steps: list[ReductStep] = []
     remaining = sorted(table.calls)
     ids = np.zeros(n, dtype=np.int64)
-    current = _pos_size(ids, y01)
+    current = _pos_size(ids, y)
     while remaining:
         best_name, best_size, best_ids = None, -1, None
         for name in remaining:
-            cand = _refine(ids, bins[:, col[name]])
-            size = _pos_size(cand, y01)
+            cand = _refine(ids, bins[:, table.column_index(name)])
+            size = _pos_size(cand, y)
             if size > best_size:
                 best_name, best_size, best_ids = name, size, cand
         chosen.append(best_name)
@@ -205,17 +163,12 @@ def generate_reduct(table: DecisionTable) -> Reduct:
         if current >= target:
             break
 
-    def _score(names: Sequence[str]) -> int:
-        ids = np.zeros(n, dtype=np.int64)
-        for name in names:
-            ids = _refine(ids, bins[:, col[name]])
-        return _pos_size(ids, y01)
-
     kept = list(chosen)
     removed: list[str] = []
     for name in reversed(chosen):
         trial = [c for c in kept if c != name]
-        if _score(trial) == current:
+        trial_ids = _block_ids(bins, [table.column_index(c) for c in trial])
+        if _pos_size(trial_ids, y) == current:
             kept = trial
             removed.append(name)
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Iterable
-
-import numpy as np
-from scipy.stats import norm
 
 from .errors import ConfigError
 from .featurize import FeatureVectorTable
@@ -69,9 +67,8 @@ class StatFilterResult:
 
 def class_stats(fvt: FeatureVectorTable, call: str) -> ClassStats:
     column = fvt.column(call)
-    labels = np.array(fvt.labels)
-    m_vals = column[labels == "M"]
-    b_vals = column[labels == "B"]
+    m_vals = column[fvt.y == 1]
+    b_vals = column[fvt.y == 0]
     for name, vals in (("M", m_vals), ("B", b_vals)):
         if vals.size < 2:
             raise ConfigError(
@@ -114,7 +111,7 @@ def critical_value(alpha: float = DEFAULT_ALPHA, z_crit: float | None = None) ->
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if alpha == DEFAULT_ALPHA:
         return DEFAULT_Z_CRIT
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def call_verdict(

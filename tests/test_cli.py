@@ -1,10 +1,14 @@
 """Command line round trips, each subcommand exercised end to end in process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import callselect
 from callselect.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -284,3 +288,12 @@ def test_help_exits_zero(capsys):
     code, out, err = _run(capsys, "--help")
     assert code == 0
     assert "subcommand" in out.lower() or "usage" in out.lower()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(callselect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, callselect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

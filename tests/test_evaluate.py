@@ -20,6 +20,7 @@ from callselect import (
     sweep,
     train,
 )
+from callselect.evaluate import _average_ranks
 from callselect.forest import Leaf, TreeEnsemble
 
 
@@ -191,6 +192,16 @@ def test_roc_extremes():
     assert roc_auc([0.9, 0.8, 0.2, 0.1], ["M", "M", "B", "B"]) == 1.0
     assert roc_auc([0.1, 0.2, 0.8, 0.9], ["M", "M", "B", "B"]) == 0.0
     assert roc_auc([0.5, 0.5, 0.5, 0.5], ["M", "M", "B", "B"]) == 0.5
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30))
+def test_average_ranks_match_definition(values):
+    # rank = 1 + (values below) + (ties - 1) / 2, i.e. the mean of the tied ranks
+    got = _average_ranks(np.array(values, dtype=np.float64))
+    for i, x in enumerate(values):
+        below = sum(v < x for v in values)
+        ties = sum(v == x for v in values)
+        assert got[i] == below + (ties + 1) / 2
 
 
 def test_roc_requires_both_classes():

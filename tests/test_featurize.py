@@ -1,4 +1,4 @@
-"""Feature tables: tf-idf weighting, normalization, binning, graph degrees."""
+"""Feature tables: tf-idf weighting, normalization, binning, table invariants."""
 
 import math
 
@@ -11,11 +11,12 @@ from callselect import (
     BIN_LABELS,
     CallCountRecord,
     ConfigError,
+    DecisionTable,
     FeatureVectorTable,
     InvariantError,
     build_fvt,
     discretize,
-    graph_features,
+    label_codes,
     minmax_columns,
     read_decision_table_csv,
     relative_frequency_table,
@@ -169,21 +170,6 @@ def test_decision_table_csv_rejects_bad_bin(tmp_path):
         read_decision_table_csv(p)
 
 
-def test_graph_features_small_sequence():
-    row = graph_features(["a", "b", "a"], vocabulary=["a", "b", "c"], sample_id="g")
-    np.testing.assert_array_equal(row.out_degrees, [1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(row.in_degrees, [1.0, 1.0, 0.0])
-    assert row.out_mean == pytest.approx(2 / 3)
-    assert row.in_mean == pytest.approx(2 / 3)
-
-
-def test_graph_features_empty_and_unknown():
-    row = graph_features([], vocabulary=["a"])
-    assert row.in_mean == 0.0 and row.out_std == 0.0
-    with pytest.raises(ConfigError, match="not in vocabulary"):
-        graph_features(["zzz"], vocabulary=["a"])
-
-
 @given(
     st.lists(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
@@ -199,12 +185,78 @@ def test_minmax_idempotent(values):
     np.testing.assert_array_equal(once, twice)
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_graph_degree_sums_match_edge_count(seed):
-    rng = np.random.default_rng(seed)
-    vocab = ["a", "b", "c", "d"]
-    seq = [vocab[i] for i in rng.integers(0, 4, size=rng.integers(0, 20))]
-    row = graph_features(seq, vocabulary=vocab)
-    edges = max(0, len(seq) - 1)
-    assert row.out_degrees.sum() == edges
-    assert row.in_degrees.sum() == edges
+def test_label_codes():
+    codes = label_codes(["M", "B", "M"])
+    assert codes.dtype == np.int8
+    np.testing.assert_array_equal(codes, [1, 0, 1])
+    assert label_codes(()).size == 0
+    with pytest.raises(ConfigError, match="'x'"):
+        label_codes(["M", "x"])
+
+
+def test_tables_carry_label_codes_and_lookup(tiny_corpus):
+    fvt = build_fvt(tiny_corpus)
+    table = discretize(fvt)
+    np.testing.assert_array_equal(fvt.y, label_codes(fvt.labels))
+    np.testing.assert_array_equal(table.y, fvt.y)
+    j = fvt.calls.index("write")
+    assert fvt.column_index("write") == table.column_index("write") == j
+    np.testing.assert_array_equal(table.column("write"), table.bins[:, j])
+    with pytest.raises(ConfigError, match="nope"):
+        table.column("nope")
+
+
+_GOOD = dict(
+    sample_ids=("a", "b"),
+    calls=("u", "v"),
+    bins=np.array([[1, 2], [3, 4]], dtype=np.int8),
+    labels=("M", "B"),
+)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        # base-5 block keys collide on 0 or 5: ids*5+5 == (ids+1)*5+0
+        ({"bins": np.array([[0, 2], [3, 4]], dtype=np.int8)}, "1..4"),
+        ({"bins": np.array([[1, 2], [3, 5]], dtype=np.int8)}, "1..4"),
+        ({"bins": np.array([[1.0, 2.0], [3.0, 4.0]])}, "1..4"),
+        ({"bins": np.array([1, 2, 3, 4], dtype=np.int8)}, "shape"),
+        ({"bins": np.array([[1, 2, 3], [1, 2, 3]], dtype=np.int8)}, "shape"),
+        ({"sample_ids": ("a", "b", "c")}, "shape"),
+        ({"labels": ("M",)}, "labels"),
+        ({"labels": ("M", "X")}, "M or B"),
+    ],
+)
+def test_decision_table_checks_invariants(change, match):
+    with pytest.raises(ConfigError, match=match):
+        DecisionTable(**{**_GOOD, **change})
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"weights": np.zeros(4)}, "shape"),
+        ({"weights": np.zeros((3, 2))}, "shape"),
+        ({"labels": ("M", "B", "B")}, "labels"),
+        ({"labels": ("M", "benign")}, "M or B"),
+    ],
+)
+def test_feature_table_checks_invariants(change, match):
+    good = {**_GOOD, "weights": np.zeros((2, 2))}
+    del good["bins"]
+    with pytest.raises(ConfigError, match=match):
+        FeatureVectorTable(**{**good, **change})
+
+
+def test_one_label_and_empty_tables_stay_legal():
+    DecisionTable(**{**_GOOD, "labels": ("M", "M")})
+    empty = DecisionTable(sample_ids=(), calls=("u",), bins=np.zeros((0, 1), dtype=np.int8), labels=())
+    assert empty.n_samples == 0 and empty.y.size == 0
+
+
+def test_decision_table_csv_rejects_bad_label(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("sample_id,s1,label\nx1,B2,Q\n")
+    with pytest.raises(ConfigError, match="M or B"):
+        read_decision_table_csv(p)

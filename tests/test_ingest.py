@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from callselect import (
     CallCountRecord,
     ConfigError,
-    call_sequence,
     ingest_corpus,
     parse_line,
     parse_log,
@@ -60,6 +59,39 @@ def test_pid_prefix_stripped():
     assert t.call_name == "close"
     # the pid token must be an entire leading integer word, not a digit prefix
     assert parse_line("12ab close(3)").kind == "garbage"
+
+
+@pytest.mark.parametrize(
+    "line, kind, name",
+    [
+        # strace -f on a terminal writes "[pid N]" instead of the bare column
+        ("[pid  1234] close(3) = 0", "call", "close"),
+        ("[pid 7] read(3, <unfinished ...>", "unfinished", "read"),
+        ("[pid  1234] <... read resumed> ) = 1", "resumed", "read"),
+        ("[pid  1234] --- SIGCHLD {si_signo=SIGCHLD} ---", "signal", None),
+        ("[pid  1234] +++ exited with 0 +++", "exit", None),
+        # strace -t, -tt and -ttt timestamps, alone and after either pid form
+        ("10:00:01 close(3) = 0", "call", "close"),
+        ("10:00:01.123456 close(3) = 0", "call", "close"),
+        ("1697623201.123456 close(3) = 0", "call", "close"),
+        ("1234  10:00:01.123456 close(3) = 0", "call", "close"),
+        ("[pid  1234] 10:00:01 close(3) = 0", "call", "close"),
+        ('[pid  1234] 1697623201.123456 write(1, "x", 1) = 1', "call", "write"),
+        ("10:00:01.123456 read(3, <unfinished ...>", "unfinished", "read"),
+        ("10:00:01 --- SIGCHLD {} ---", "signal", None),
+        # look-alikes stay garbage
+        ("[ Process PID=1234 runs in 32 bit mode. ]", "garbage", None),
+        ("strace: Process 1236 attached", "garbage", None),
+        ("[pid] close(3) = 0", "garbage", None),
+        ("[pid  1234]close(3) = 0", "garbage", None),
+        ("[pid  1234]", "garbage", None),
+        ("10:00 close(3) = 0", "garbage", None),
+        ("1234 5678 close(3) = 0", "garbage", None),
+    ],
+)
+def test_pid_and_timestamp_prefixes(line, kind, name):
+    t = parse_line(line)
+    assert (t.kind, t.call_name) == (kind, name)
 
 
 def test_garbage_lines():
@@ -134,17 +166,6 @@ def test_hand_tally_fixture():
         "garbage": 3,
     }
     assert rec.counts == _oracle_tally(lines)
-
-
-def test_call_sequence_preserves_order():
-    lines = [
-        "a() = 0",
-        "b(1, <unfinished ...>",
-        "--- SIGINT {} ---",
-        "<... b resumed> ) = 0",
-        "a() = 1",
-    ]
-    assert call_sequence(lines) == ["a", "b", "a"]
 
 
 def test_manifest_roundtrip(tmp_path):

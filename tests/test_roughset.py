@@ -1,4 +1,4 @@
-"""Rough set core: partitions, approximations, significance, greedy reduct."""
+"""Rough set core: partitions, positive regions, significance, greedy reduct."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from callselect import (
     ConfigError,
     DecisionTable,
-    approximate,
     generate_reduct,
-    most_significant_call,
     naive_positive_region,
     partition,
     positive_region,
@@ -38,19 +36,6 @@ def test_partition_unknown_attr(golden_table):
         partition(golden_table, ["s9"])
 
 
-def test_approximation_of_malware_set(golden_table):
-    malware = {i for i, y in enumerate(golden_table.labels) if y == "M"}
-    a = approximate(partition(golden_table, ["s1"]), malware)
-    assert sorted(a.lower) == [4, 6]
-    assert sorted(a.upper) == [1, 2, 3, 4, 6]
-    assert a.lower <= malware <= a.upper
-
-
-def test_approximation_target_validated(golden_table):
-    with pytest.raises(ConfigError, match="index"):
-        approximate(partition(golden_table, ["s1"]), {99})
-
-
 def test_positive_region_golden(golden_table):
     assert sorted(positive_region(golden_table, ["s1"])) == [0, 4, 5, 6]
     assert sorted(positive_region(golden_table, ["s2"])) == [0, 1, 2]
@@ -68,10 +53,6 @@ def test_significance_golden(golden_table):
     assert significance(golden_table, ["s1", "s2", "s3"]) == 1.0
 
 
-def test_most_significant_call_golden(golden_table):
-    assert most_significant_call(golden_table) == "s3"
-
-
 def test_most_significant_breaks_ties_lexicographically():
     t = DecisionTable(
         sample_ids=("q1", "q2"),
@@ -79,7 +60,7 @@ def test_most_significant_breaks_ties_lexicographically():
         bins=np.array([[1, 1], [2, 2]], dtype=np.int8),
         labels=("B", "M"),
     )
-    assert most_significant_call(t) == "aa"
+    # both calls separate everything; the first greedy pick takes the smaller name
     r = generate_reduct(t)
     assert [s.call for s in r.steps] == ["aa"]
 
@@ -169,6 +150,18 @@ def test_partition_is_a_partition(table):
         seen = [i for b in p.blocks for i in b]
         assert sorted(seen) == list(range(table.n_samples))
         assert len(seen) == len(set(seen))
+
+
+@given(tables())
+def test_partition_blocks_match_pairwise_equality(table):
+    # two rows share a block exactly when they agree on every chosen attribute
+    attrs = list(table.calls[: len(table.calls) // 2 + 1])
+    cols = [table.calls.index(a) for a in attrs]
+    block_of = {i: b for b, block in enumerate(partition(table, attrs).blocks) for i in block}
+    for i in range(table.n_samples):
+        for j in range(table.n_samples):
+            same = all(table.bins[i, c] == table.bins[j, c] for c in cols)
+            assert (block_of[i] == block_of[j]) == same
 
 
 @given(tables())

@@ -1,6 +1,7 @@
 """Two-sample z filter: statistics, verdicts, list assembly, ranking."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ def test_critical_value_defaults_and_alpha():
     assert critical_value(z_crit=2.5) == 2.5
     # two-sided 1% point from the normal quantile
     assert critical_value(alpha=0.01) == pytest.approx(2.5758293035489004, rel=1e-12)
+
+
+def test_critical_value_non_default_alpha_is_pinned():
+    # Inverse normal CDFs can disagree in the last ulp (scipy gives
+    # 1.6448536269514722 here); z_crit lands in selection reports, so the
+    # standard library's value is the pinned one.
+    assert critical_value(alpha=0.1) == NormalDist().inv_cdf(0.95) == 1.6448536269514715
 
 
 def test_verdict_degenerate_column_is_none():
