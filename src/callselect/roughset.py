@@ -70,11 +70,11 @@ def _refine(ids: np.ndarray, column: np.ndarray) -> np.ndarray:
     return new_ids
 
 
-def _block_ids(bins: np.ndarray, cols: Iterable[int]) -> np.ndarray:
-    """Indiscernibility block id per row under the given columns."""
-    ids = np.zeros(bins.shape[0], dtype=np.int64)
-    for j in cols:
-        ids = _refine(ids, bins[:, j])
+def _block_ids(table: DecisionTable, attrs: Iterable[str]) -> np.ndarray:
+    """Indiscernibility block id per row under the named attributes."""
+    ids = np.zeros(table.n_samples, dtype=np.int64)
+    for name in attrs:
+        ids = _refine(ids, table.column(name))
     return ids
 
 
@@ -91,14 +91,10 @@ def _pos_size(ids: np.ndarray, y: np.ndarray) -> int:
     return int(sizes[pure].sum())
 
 
-def _attr_ids(table: DecisionTable, attrs: Iterable[str]) -> np.ndarray:
-    return _block_ids(table.bins, [table.column_index(a) for a in attrs])
-
-
 def partition(table: DecisionTable, attrs: Iterable[str]) -> Partition:
     """Group rows by their value tuple over attrs; no attrs means one block."""
     names = tuple(sorted(set(attrs)))
-    ids = _attr_ids(table, names)
+    ids = _block_ids(table, names)
     order = np.argsort(ids, kind="stable")
     cuts = np.flatnonzero(np.diff(ids[order])) + 1
     blocks = [tuple(b.tolist()) for b in np.split(order, cuts)] if ids.size else []
@@ -111,7 +107,7 @@ def partition(table: DecisionTable, attrs: Iterable[str]) -> Partition:
 
 def positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:
     """Rows in label-pure indiscernibility blocks."""
-    ids = _attr_ids(table, attrs)
+    ids = _block_ids(table, attrs)
     pure, _ = _pure_blocks(ids, table.y)
     return frozenset(np.flatnonzero(pure[ids]).tolist())
 
@@ -119,7 +115,7 @@ def positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int
 def significance(table: DecisionTable, attrs: Iterable[str]) -> float:
     if table.n_samples == 0:
         raise ConfigError("cannot score an empty table")
-    return _pos_size(_attr_ids(table, attrs), table.y) / table.n_samples
+    return _pos_size(_block_ids(table, attrs), table.y) / table.n_samples
 
 
 def generate_reduct(table: DecisionTable) -> Reduct:
@@ -141,8 +137,7 @@ def generate_reduct(table: DecisionTable) -> Reduct:
 
     y = table.y
     n = table.n_samples
-    bins = table.bins.astype(np.int64)
-    target = _pos_size(_block_ids(bins, range(len(table.calls))), y)
+    target = _pos_size(_block_ids(table, table.calls), y)
 
     chosen: list[str] = []
     steps: list[ReductStep] = []
@@ -152,7 +147,7 @@ def generate_reduct(table: DecisionTable) -> Reduct:
     while remaining:
         best_name, best_size, best_ids = None, -1, None
         for name in remaining:
-            cand = _refine(ids, bins[:, table.column_index(name)])
+            cand = _refine(ids, table.column(name))
             size = _pos_size(cand, y)
             if size > best_size:
                 best_name, best_size, best_ids = name, size, cand
@@ -167,8 +162,7 @@ def generate_reduct(table: DecisionTable) -> Reduct:
     removed: list[str] = []
     for name in reversed(chosen):
         trial = [c for c in kept if c != name]
-        trial_ids = _block_ids(bins, [table.column_index(c) for c in trial])
-        if _pos_size(trial_ids, y) == current:
+        if _pos_size(_block_ids(table, trial), y) == current:
             kept = trial
             removed.append(name)
 

@@ -1,7 +1,6 @@
 """Command line round trips, each subcommand exercised end to end in process."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -291,9 +290,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # A fresh interpreter, since test plugins may have loaded scipy into this one.
     src = str(Path(callselect.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, callselect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import callselect.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
