@@ -243,8 +243,7 @@ def test_decision_table_checks_invariants(change, match):
     ],
 )
 def test_feature_table_checks_invariants(change, match):
-    good = {**_GOOD, "weights": np.zeros((2, 2))}
-    del good["bins"]
+    good = dict(sample_ids=("a", "b"), calls=("u", "v"), weights=np.zeros((2, 2)), labels=("M", "B"))
     with pytest.raises(ConfigError, match=match):
         FeatureVectorTable(**{**good, **change})
 
