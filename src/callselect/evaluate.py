@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .featurize import FeatureVectorTable, label_codes
-from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES, predict, predict_scores, train
+# predict is unused here, but callbench/spans.py wraps evaluate.predict by name.
+from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES, predict, predict_scores, train  # noqa: F401
 
 METRIC_NAMES = ("acc", "fpr", "paper_auc", "roc_auc", "f1")
 
@@ -130,11 +131,9 @@ def _fold_seed(seed: int, length: int, fold: int) -> int:
     return int(np.random.SeedSequence((seed, length, fold)).generate_state(1)[0])
 
 
-def _confusion(actual: Sequence[str], predicted: Sequence[str]) -> ConfusionMatrix:
-    tp = sum(1 for a, p in zip(actual, predicted) if a == "M" and p == "M")
-    tn = sum(1 for a, p in zip(actual, predicted) if a == "B" and p == "B")
-    fp = sum(1 for a, p in zip(actual, predicted) if a == "B" and p == "M")
-    fn = sum(1 for a, p in zip(actual, predicted) if a == "M" and p == "B")
+def _confusion(actual: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
+    """Counts from 0/1 label codes and boolean malware predictions."""
+    tn, fp, fn, tp = np.bincount(2 * actual + predicted, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
@@ -167,16 +166,13 @@ class EvalReport:
     folds: int
     seed: int
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         # Timing is deliberately left out of the canonical report so reruns
         # with the same seed produce identical bytes.
-        rows = []
-        for r in self.rows:
-            row = {"length": r.length, **r.metric_dict(),
-                   "folds": [cm.as_dict() for cm in r.folds]}
-            if include_timing:
-                row["train_seconds"] = r.train_seconds
-            rows.append(row)
+        rows = [
+            {"length": r.length, **r.metric_dict(), "folds": [cm.as_dict() for cm in r.folds]}
+            for r in self.rows
+        ]
         return {"rows": rows, "average": self.average, "std_dev": self.std_dev}
 
     def to_csv(self, path: str | Path) -> None:
@@ -200,6 +196,7 @@ def cross_validate(
 ) -> tuple[list[ConfusionMatrix], np.ndarray, float]:
     """Train/test over the folds; returns per-fold confusions, out-of-fold scores, train time."""
     labels = list(labels)
+    y = label_codes(labels)
     n = len(labels)
     oof = np.zeros(n, dtype=np.float64)
     fold_cms: list[ConfusionMatrix] = []
@@ -217,9 +214,9 @@ def cross_validate(
             max_depth=max_depth,
         )
         spent += time.perf_counter() - t0
-        predicted = predict(model, X[test_idx])
-        oof[test_idx] = predict_scores(model, X[test_idx])
-        fold_cms.append(_confusion([labels[j] for j in test_idx], predicted))
+        scores = predict_scores(model, X[test_idx])
+        oof[test_idx] = scores
+        fold_cms.append(_confusion(y[test_idx], scores > 0.5))  # the rule predict uses
     return fold_cms, oof, spent
 
 

@@ -160,7 +160,7 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
     return DecisionTable(
         sample_ids=tuple(sample_ids),
         calls=calls,
-        bins=np.array(bin_rows, dtype=np.int8),
+        bins=np.array(bin_rows, dtype=np.int8).reshape(len(bin_rows), len(calls)),
         labels=tuple(labels),
     )
 

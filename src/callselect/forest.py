@@ -5,12 +5,21 @@ randomly drawn features per split, picking the threshold with the best
 Gini impurity decrease. Prediction is one vote per tree; an exact tie
 goes to benign. Per-tree randomness comes from spawning the master seed,
 so a run is fully reproducible from (data, seed).
+
+An ensemble is stored as flat node arrays shared by all its trees:
+feature, threshold, left, right and label, indexed by node id, plus the
+root id of each tree. Trees are laid out depth first, so a split's
+children always come after it. A row goes left when its value of the
+split feature is <= the threshold. A leaf is its own left and right
+child, so a row that reaches a leaf stays there; prediction therefore
+steps every (tree, row) pair down at once, max_depth times, and reads the
+labels where they end up.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -22,24 +31,13 @@ DEFAULT_MAX_DEPTH = 16
 
 
 @dataclass(frozen=True)
-class Leaf:
-    label: int  # 0 = B, 1 = M
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Split]
-
-
-@dataclass(frozen=True)
 class TreeEnsemble:
-    trees: tuple[Node, ...]
+    feature: np.ndarray  # split column per node (0 at leaves)
+    threshold: np.ndarray  # go left when value <= threshold (0.0 at leaves)
+    left: np.ndarray  # child node ids; a leaf points to itself
+    right: np.ndarray
+    label: np.ndarray  # leaf vote, 0 = B, 1 = M (0 at splits)
+    roots: np.ndarray  # root node id per tree
     n_features: int
     trees_count: int
     max_depth: int
@@ -84,23 +82,24 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
 
 
 def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
-           max_depth: int, mtry: int, rng: np.random.Generator) -> Node:
+           max_depth: int, mtry: int, rng: np.random.Generator,
+           nodes: list[tuple]) -> int:
+    """Append the subtree over rows idx to nodes, depth first; return its root id."""
     n = idx.size
     ones = int(y[idx].sum())
-    if ones == 0:
-        return Leaf(0)
-    if ones == n:
-        return Leaf(1)
-    if depth >= max_depth or n < 2:
-        return Leaf(_majority(ones, n))
+    node = len(nodes)
+    nodes.append((0, 0.0, node, node, _majority(ones, n)))  # a leaf unless split below
+    if ones == 0 or ones == n or depth >= max_depth:
+        return node
     features = rng.choice(X.shape[1], size=mtry, replace=False)
     decrease, feature, threshold = _best_split(X, y, idx, features)
     if feature < 0 or decrease <= 0.0:
-        return Leaf(_majority(ones, n))
+        return node
     mask = X[idx, feature] <= threshold
-    left = _build(X, y, idx[mask], depth + 1, max_depth, mtry, rng)
-    right = _build(X, y, idx[~mask], depth + 1, max_depth, mtry, rng)
-    return Split(feature=feature, threshold=threshold, left=left, right=right)
+    left = _build(X, y, idx[mask], depth + 1, max_depth, mtry, rng, nodes)
+    right = _build(X, y, idx[~mask], depth + 1, max_depth, mtry, rng, nodes)
+    nodes[node] = (feature, threshold, left, right, 0)
+    return node
 
 
 def train(
@@ -126,30 +125,26 @@ def train(
         raise ConfigError("training data must contain both labels")
     n, d = X.shape
     mtry = max(1, math.isqrt(d))
-    trees = []
+    nodes: list[tuple] = []
+    roots = []
     for child_seed in np.random.SeedSequence(seed).spawn(trees_count):
         rng = np.random.default_rng(child_seed)
         boot = rng.integers(0, n, size=n)
-        trees.append(_build(X, y, boot, 0, max_depth, mtry, rng))
+        roots.append(_build(X, y, boot, 0, max_depth, mtry, rng, nodes))
+    feature, threshold, left, right, label = (np.array(col) for col in zip(*nodes))
     return TreeEnsemble(
-        trees=tuple(trees),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        label=label,
+        roots=np.array(roots),
         n_features=d,
         trees_count=trees_count,
         max_depth=max_depth,
         features_per_split=mtry,
         seed=seed,
     )
-
-
-def _tree_predict(node: Node, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if rows.size == 0:
-        return
-    if isinstance(node, Leaf):
-        out[rows] = node.label
-        return
-    mask = X[rows, node.feature] <= node.threshold
-    _tree_predict(node.left, X, rows[mask], out)
-    _tree_predict(node.right, X, rows[~mask], out)
 
 
 def predict_scores(model: TreeEnsemble, X: np.ndarray) -> np.ndarray:
@@ -160,14 +155,12 @@ def predict_scores(model: TreeEnsemble, X: np.ndarray) -> np.ndarray:
             f"feature arity mismatch: model expects {model.n_features}, "
             f"got {X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
         )
-    votes = np.zeros(X.shape[0], dtype=np.float64)
     rows = np.arange(X.shape[0])
-    scratch = np.zeros(X.shape[0], dtype=np.int64)
-    for tree in model.trees:
-        scratch[:] = 0
-        _tree_predict(tree, X, rows, scratch)
-        votes += scratch
-    return votes / model.trees_count
+    node = np.broadcast_to(model.roots[:, None], (model.roots.size, rows.size))
+    for _ in range(model.max_depth):  # no tree is deeper than max_depth
+        go_left = X[rows, model.feature[node]] <= model.threshold[node]
+        node = np.where(go_left, model.left[node], model.right[node])
+    return model.label[node].sum(axis=0) / model.trees_count
 
 
 def predict(model: TreeEnsemble, X: np.ndarray) -> list[str]:

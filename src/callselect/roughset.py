@@ -11,7 +11,8 @@ Every question here is answered by one numpy kernel: rows start in one
 block and each attribute refines the block ids (id * 5 + bin, renumbered
 through np.unique), so the work grows as attributes x samples rather
 than with pairwise comparison. Label purity of the blocks then comes from
-two bincounts over the 0/1 label codes.
+two bincounts of the block ids: one counts rows, one sums the 0/1 label
+codes, and a block is pure when its sum is 0 or its size.
 """
 from __future__ import annotations
 
@@ -81,9 +82,9 @@ def _block_ids(table: DecisionTable, attrs: Iterable[str]) -> np.ndarray:
 def _pure_blocks(ids: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per block id: whether all its rows share one label, and its size."""
     k = int(ids.max()) + 1 if ids.size else 0
-    ones = np.bincount(ids[y == 1], minlength=k)
-    zeros = np.bincount(ids[y == 0], minlength=k)
-    return (ones == 0) | (zeros == 0), ones + zeros
+    sizes = np.bincount(ids, minlength=k)
+    ones = np.bincount(ids, weights=y, minlength=k)
+    return (ones == 0) | (ones == sizes), sizes
 
 
 def _pos_size(ids: np.ndarray, y: np.ndarray) -> int:

@@ -124,6 +124,17 @@ def test_select_on_golden_decision_table(capsys, tmp_path):
     assert report["ranking_order"] == "significance_step_order"
 
 
+def test_select_on_header_only_decision_table(capsys, tmp_path):
+    table = tmp_path / "empty.csv"
+    table.write_text("sample_id,a,b,label\n")
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(table), "--method", "roughset",
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err)["message"] == "cannot reduce an empty table"
+
+
 def test_select_requires_exactly_one_input(capsys, tmp_path):
     code, out, err = _run(
         capsys, "select", "--method", "ig", "--out", str(tmp_path / "x.json")

@@ -20,8 +20,8 @@ from callselect import (
     sweep,
     train,
 )
-from callselect.evaluate import _average_ranks
-from callselect.forest import Leaf, TreeEnsemble
+from callselect.evaluate import _average_ranks, _confusion
+from callselect.forest import TreeEnsemble
 
 
 def _fvt(weights, labels, calls=None):
@@ -117,8 +117,14 @@ def test_train_deterministic():
 
 
 def test_predict_tie_goes_benign():
+    # two one-leaf trees: node 0 votes M, node 1 votes B
     model = TreeEnsemble(
-        trees=(Leaf(label=1), Leaf(label=0)),
+        feature=np.array([0, 0]),
+        threshold=np.array([0.0, 0.0]),
+        left=np.array([0, 1]),
+        right=np.array([0, 1]),
+        label=np.array([1, 0]),
+        roots=np.array([0, 1]),
         n_features=2,
         trees_count=2,
         max_depth=1,
@@ -128,6 +134,54 @@ def test_predict_tie_goes_benign():
     X = np.array([[0.4, 0.6]])
     assert predict_scores(model, X).tolist() == [0.5]
     assert predict(model, X) == ["B"]
+
+
+def _walk(model, row):
+    """Reference descent of one row through every tree; returns (score, longest path)."""
+    votes, longest = 0, 0
+    for node in model.roots:
+        steps = 0
+        while model.left[node] != node:
+            go_left = row[model.feature[node]] <= model.threshold[node]
+            node = model.left[node] if go_left else model.right[node]
+            steps += 1
+        votes += model.label[node]
+        longest = max(longest, steps)
+    return votes / model.trees_count, longest
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30)
+def test_predict_scores_match_per_row_walk(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 40)), int(rng.integers(1, 6))
+    X = rng.uniform(0, 1, (n, d))
+    if rng.integers(0, 2):
+        X = np.round(X, 1)  # tied values between rows
+    labels = ["M" if v else "B" for v in rng.integers(0, 2, n)]
+    labels[:2] = ["M", "B"]
+    model = train(X, labels, seed=seed, trees_count=int(rng.integers(1, 8)),
+                  max_depth=int(rng.integers(1, 7)))
+
+    ids = np.arange(model.label.size)
+    leaf = model.left == ids
+    assert (model.right[leaf] == ids[leaf]).all()  # leaves loop on themselves
+    assert (model.left[~leaf] > ids[~leaf]).all()  # children come after their split
+    assert (model.right[~leaf] > ids[~leaf]).all()
+    assert set(model.label[leaf].tolist()) <= {0, 1}
+    assert ((model.feature >= 0) & (model.feature < d)).all()
+
+    # training rows, fresh rows, and one row sitting exactly on each split's threshold
+    probes = [X, rng.uniform(0, 1, (5, d))]
+    for f, t in zip(model.feature[~leaf], model.threshold[~leaf]):
+        row = rng.uniform(0, 1, (1, d))
+        row[0, f] = t
+        probes.append(row)
+    P = np.vstack(probes)
+    for row, score in zip(P, predict_scores(model, P)):
+        want, longest = _walk(model, row)
+        assert score == want
+        assert longest <= model.max_depth
 
 
 def test_train_input_validation():
@@ -186,6 +240,14 @@ def test_confusion_add_and_total():
     assert (s.tp, s.tn, s.fp, s.fn) == (11, 22, 33, 44)
     assert s.total == 110
     assert a.as_dict() == {"tp": 1, "tn": 2, "fp": 3, "fn": 4}
+
+
+def test_confusion_counts_codes():
+    actual = np.array([1, 1, 0, 0, 1, 0], dtype=np.int8)
+    predicted = np.array([True, False, True, False, True, False])
+    cm = _confusion(actual, predicted)
+    assert cm.as_dict() == {"tp": 2, "tn": 2, "fp": 1, "fn": 1}
+    assert all(type(v) is int for v in cm.as_dict().values())  # JSON-serializable
 
 
 def test_roc_extremes():

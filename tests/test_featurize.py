@@ -170,6 +170,15 @@ def test_decision_table_csv_rejects_bad_bin(tmp_path):
         read_decision_table_csv(p)
 
 
+def test_decision_table_csv_header_only_is_empty(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("sample_id,a,b,label\n")
+    table = read_decision_table_csv(p)
+    assert table.bins.shape == (0, 2)
+    assert table.calls == ("a", "b")
+    assert table.n_samples == 0
+
+
 @given(
     st.lists(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
