@@ -3,7 +3,9 @@
 The sweep trains the bagged-tree classifier on growing prefixes of a
 feature ranking under stratified k-fold cross validation, reports the
 confusion-derived metrics per length, and closes with average and
-standard deviation rows across lengths.
+standard deviation rows across lengths. Cross validation yields one
+out-of-fold malware score per row; every fold's confusion, the pooled
+confusion and roc_auc are all derived from those scores.
 
 paper_auc is the confusion-matrix expression 0.5*(TP/(TP+FP) +
 TN/(TN+FP)), kept verbatim and named apart from roc_auc, the usual
@@ -40,14 +42,6 @@ class ConfusionMatrix:
 
     def as_dict(self) -> dict:
         return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            tp=self.tp + other.tp,
-            tn=self.tn + other.tn,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-        )
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,6 @@ class EvalReport:
     rows: tuple[LengthResult, ...]
     average: dict[str, float]
     std_dev: dict[str, float]
-    folds: int
-    seed: int
 
     def to_json_dict(self) -> dict:
         # Timing is deliberately left out of the canonical report so reruns
@@ -187,37 +179,35 @@ class EvalReport:
 
 def cross_validate(
     X: np.ndarray,
-    labels: Sequence[str],
+    y: np.ndarray,
     fold_indices: Sequence[np.ndarray],
     seed: int,
     length_tag: int,
     trees_count: int,
     max_depth: int,
-) -> tuple[list[ConfusionMatrix], np.ndarray, float]:
-    """Train/test over the folds; returns per-fold confusions, out-of-fold scores, train time."""
-    labels = list(labels)
-    y = label_codes(labels)
-    n = len(labels)
+) -> tuple[np.ndarray, float]:
+    """Train on all rows but each fold's and score that fold's rows.
+
+    y holds the 0/1 label codes of X's rows, and the folds must cover
+    every row once. Returns the out-of-fold malware scores, one per row,
+    and the seconds spent training.
+    """
+    n = y.size
     oof = np.zeros(n, dtype=np.float64)
-    fold_cms: list[ConfusionMatrix] = []
     spent = 0.0
     for i, test_idx in enumerate(fold_indices):
-        test_mask = np.zeros(n, dtype=bool)
-        test_mask[test_idx] = True
-        train_idx = np.flatnonzero(~test_mask)
+        train_idx = np.delete(np.arange(n), test_idx)
         t0 = time.perf_counter()
         model = train(
             X[train_idx],
-            [labels[j] for j in train_idx],
+            y[train_idx],
             seed=_fold_seed(seed, length_tag, i),
             trees_count=trees_count,
             max_depth=max_depth,
         )
         spent += time.perf_counter() - t0
-        scores = predict_scores(model, X[test_idx])
-        oof[test_idx] = scores
-        fold_cms.append(_confusion(y[test_idx], scores > 0.5))  # the rule predict uses
-    return fold_cms, oof, spent
+        oof[test_idx] = predict_scores(model, X[test_idx])
+    return oof, spent
 
 
 def sweep(
@@ -241,23 +231,21 @@ def sweep(
     fold_indices = stratified_folds(fvt.labels, folds, seed)
     rows: list[LengthResult] = []
     for length in lengths:
-        sub = fvt.restrict(ranking[:length])
-        fold_cms, oof, spent = cross_validate(
-            sub.weights, sub.labels, fold_indices, seed, length, trees_count, max_depth
+        X = fvt.weights[:, [fvt.column_index(c) for c in ranking[:length]]]
+        oof, spent = cross_validate(
+            X, fvt.y, fold_indices, seed, length, trees_count, max_depth
         )
-        summed = ConfusionMatrix(0, 0, 0, 0)
-        for cm in fold_cms:
-            summed = summed + cm
-        ms = metrics(summed)
+        malware = oof > 0.5  # the rule predict uses
+        ms = metrics(_confusion(fvt.y, malware))
         rows.append(
             LengthResult(
                 length=length,
                 acc=ms.acc,
                 fpr=ms.fpr,
                 paper_auc=ms.paper_auc,
-                roc_auc=roc_auc(oof, sub.labels),
+                roc_auc=roc_auc(oof, fvt.labels),
                 f1=ms.f1,
-                folds=tuple(fold_cms),
+                folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices),
                 train_seconds=spent,
             )
         )
@@ -267,6 +255,4 @@ def sweep(
     std_dev = {
         m: float(np.std([r.metric_dict()[m] for r in rows])) for m in METRIC_NAMES
     }
-    return EvalReport(
-        rows=tuple(rows), average=average, std_dev=std_dev, folds=folds, seed=seed
-    )
+    return EvalReport(rows=tuple(rows), average=average, std_dev=std_dev)

@@ -39,8 +39,8 @@ def label_codes(labels: Sequence[str]) -> np.ndarray:
 
 class _Table:
     """What both tables share, checked when the table is built: ids and
-    labels aligned with the matrix rows, calls with its columns, the 0/1
-    label codes ``y`` and the name-to-column lookup."""
+    labels aligned with the matrix rows, distinct calls aligned with its
+    columns, the 0/1 label codes ``y`` and the name-to-column lookup."""
 
     sample_ids: tuple[str, ...]
     calls: tuple[str, ...]
@@ -58,8 +58,12 @@ class _Table:
             raise ConfigError(
                 f"{len(self.labels)} labels for {expected[0]} sample ids"
             )
+        index = {c: j for j, c in enumerate(self.calls)}
+        if len(index) != len(self.calls):
+            dup = next(c for j, c in enumerate(self.calls) if index[c] != j)
+            raise ConfigError(f"duplicate call: {dup!r}")
         object.__setattr__(self, "y", label_codes(self.labels))
-        object.__setattr__(self, "_index", {c: j for j, c in enumerate(self.calls)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_samples(self) -> int:
@@ -87,19 +91,9 @@ class FeatureVectorTable(_Table):
     def column(self, call: str) -> np.ndarray:
         return self.weights[:, self.column_index(call)]
 
-    def restrict(self, calls: Sequence[str]) -> "FeatureVectorTable":
-        """Project onto the given calls, keeping their order."""
-        idx = [self.column_index(c) for c in calls]
-        return FeatureVectorTable(
-            sample_ids=self.sample_ids,
-            calls=tuple(calls),
-            weights=self.weights[:, idx].copy(),
-            labels=self.labels,
-        )
-
     def to_csv(self, path: str | Path) -> None:
         _write_table_csv(path, self.sample_ids, self.calls, self.labels,
-                         [[f"{w:.6f}" for w in row] for row in self.weights])
+                         ((f"{w:.6f}" for w in row) for row in self.weights))
 
 
 @dataclass(frozen=True)
@@ -125,7 +119,7 @@ class DecisionTable(_Table):
         return self.bins[:, self.column_index(call)]
 
     def to_csv(self, path: str | Path) -> None:
-        names = [[BIN_LABELS[b - 1] for b in row] for row in self.bins]
+        names = ((BIN_LABELS[b - 1] for b in row) for row in self.bins)
         _write_table_csv(path, self.sample_ids, self.calls, self.labels, names)
 
 

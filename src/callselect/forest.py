@@ -1,5 +1,9 @@
 """Bagged decision trees with hard majority voting.
 
+The forest takes label codes in and gives codes out: ``train`` reads
+``y`` as 0/1 per row (1 = malware, 0 = benign, as in a table's ``y``) and
+``predict`` returns int8 codes in the same encoding.
+
 Each tree trains on a bootstrap resample and considers floor(sqrt(d))
 randomly drawn features per split, picking the threshold with the best
 Gini impurity decrease. Prediction is one vote per tree; an exact tie
@@ -19,12 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .featurize import label_codes
 
 DEFAULT_TREES = 100
 DEFAULT_MAX_DEPTH = 16
@@ -104,25 +106,26 @@ def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
 
 def train(
     X: np.ndarray,
-    labels: Sequence[str],
+    y: np.ndarray,
     seed: int,
     trees_count: int = DEFAULT_TREES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> TreeEnsemble:
+    """Fit trees_count trees to rows X with 0/1 label codes y."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ConfigError("X must be a 2-d matrix")
-    if X.shape[0] != len(labels):
+    y = np.asarray(y)
+    if y.shape != (X.shape[0],):
         raise ConfigError(
-            f"row count {X.shape[0]} does not match label count {len(labels)}"
+            f"label codes must have shape ({X.shape[0]},), got {y.shape}"
         )
     if trees_count < 1:
         raise ConfigError(f"trees_count must be >= 1, got {trees_count}")
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    y = label_codes(labels)
-    if len(np.unique(y)) < 2:
-        raise ConfigError("training data must contain both labels")
+    if set(np.unique(y).tolist()) != {0, 1}:
+        raise ConfigError("label codes must be 0 and 1, with both present")
     n, d = X.shape
     mtry = max(1, math.isqrt(d))
     nodes: list[tuple] = []
@@ -163,7 +166,6 @@ def predict_scores(model: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     return model.label[node].sum(axis=0) / model.trees_count
 
 
-def predict(model: TreeEnsemble, X: np.ndarray) -> list[str]:
-    """Majority vote per row; an exact tie returns benign."""
-    scores = predict_scores(model, X)
-    return ["M" if s > 0.5 else "B" for s in scores]
+def predict(model: TreeEnsemble, X: np.ndarray) -> np.ndarray:
+    """Majority vote per row as int8 codes, 1 = malware; an exact tie gives 0."""
+    return (predict_scores(model, X) > 0.5).astype(np.int8)

@@ -61,6 +61,14 @@ class CallCountRecord:
     total_calls: int
 
     def validate(self) -> None:
+        """Check a record read from outside; nothing is coerced."""
+        if not (type(self.sample_id) is str and type(self.counts) is dict
+                and type(self.total_calls) is int
+                and set(map(type, self.counts.values())) <= {int}):
+            raise ConfigError(
+                "sample_id must be a string, counts an object of integers "
+                "and total an integer"
+            )
         if self.label not in LABELS:
             raise ConfigError(f"label must be one of {LABELS}, got {self.label!r}")
         for name, n in self.counts.items():
@@ -201,6 +209,11 @@ def write_records_jsonl(records: Iterable[CallCountRecord], path: str | Path) ->
 
 
 def read_records_jsonl(path: str | Path) -> list[CallCountRecord]:
+    """Read the write_records_jsonl layout; a bad line is a ConfigError naming it.
+
+    sample_id must be a string, counts a JSON object of JSON integers and
+    total an integer: a count of 1.5, "3" or true is an error, not 1 or 3.
+    """
     records: list[CallCountRecord] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -214,13 +227,13 @@ def read_records_jsonl(path: str | Path) -> list[CallCountRecord]:
             record = CallCountRecord(
                 sample_id=obj["sample_id"],
                 label=obj["label"],
-                counts={str(k): int(v) for k, v in obj["counts"].items()},
-                total_calls=int(obj["total"]),
+                counts=obj["counts"],
+                total_calls=obj["total"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            record.validate()
+        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
             raise ConfigError(
                 f"bad record on line {lineno} of {str(path)!r}: {exc}"
             ) from exc
-        record.validate()
         records.append(record)
     return records

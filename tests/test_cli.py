@@ -135,6 +135,28 @@ def test_select_on_header_only_decision_table(capsys, tmp_path):
     assert json.loads(err)["message"] == "cannot reduce an empty table"
 
 
+def test_select_on_duplicate_call_decision_table(capsys, tmp_path):
+    # the second "a" alone decides the labels; it must not stand in for the first
+    table = tmp_path / "dup.csv"
+    table.write_text("sample_id,a,a,label\nr1,B1,B4,M\nr2,B1,B1,B\nr3,B2,B4,M\n")
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(table), "--method", "roughset",
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err)["message"] == "duplicate call: 'a'"
+
+
+def test_featurize_bad_record_exits_2(capsys, tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"sample_id": "a", "label": "M", "counts": [], "total": 0}\n')
+    code, out, err = _run(
+        capsys, "featurize", "--records", str(records), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert "line 1" in json.loads(err)["message"]
+
+
 def test_select_requires_exactly_one_input(capsys, tmp_path):
     code, out, err = _run(
         capsys, "select", "--method", "ig", "--out", str(tmp_path / "x.json")

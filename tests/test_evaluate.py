@@ -20,7 +20,7 @@ from callselect import (
     sweep,
     train,
 )
-from callselect.evaluate import _average_ranks, _confusion
+from callselect.evaluate import _average_ranks, _confusion, _fold_seed
 from callselect.forest import TreeEnsemble
 
 
@@ -100,19 +100,20 @@ def test_folds_deterministic_per_seed():
 
 def test_train_learns_separable_data():
     fvt = _separable(40)
-    model = train(fvt.weights, fvt.labels, seed=0, trees_count=20, max_depth=8)
+    model = train(fvt.weights, fvt.y, seed=0, trees_count=20, max_depth=8)
     got = predict(model, fvt.weights)
-    agree = sum(g == y for g, y in zip(got, fvt.labels))
+    assert got.dtype == np.int8
+    agree = int((got == fvt.y).sum())
     assert agree >= 78  # 97.5 percent training accuracy on clean data
 
 
 def test_train_deterministic():
     fvt = _separable(30, extra_noise_cols=3)
-    a = train(fvt.weights, fvt.labels, seed=5, trees_count=15)
-    b = train(fvt.weights, fvt.labels, seed=5, trees_count=15)
+    a = train(fvt.weights, fvt.y, seed=5, trees_count=15)
+    b = train(fvt.weights, fvt.y, seed=5, trees_count=15)
     X = fvt.weights
     assert predict_scores(a, X).tolist() == predict_scores(b, X).tolist()
-    c = train(fvt.weights, fvt.labels, seed=6, trees_count=15)
+    c = train(fvt.weights, fvt.y, seed=6, trees_count=15)
     assert predict_scores(a, X).tolist() != predict_scores(c, X).tolist()
 
 
@@ -133,7 +134,7 @@ def test_predict_tie_goes_benign():
     )
     X = np.array([[0.4, 0.6]])
     assert predict_scores(model, X).tolist() == [0.5]
-    assert predict(model, X) == ["B"]
+    assert predict(model, X).tolist() == [0]
 
 
 def _walk(model, row):
@@ -158,9 +159,9 @@ def test_predict_scores_match_per_row_walk(seed):
     X = rng.uniform(0, 1, (n, d))
     if rng.integers(0, 2):
         X = np.round(X, 1)  # tied values between rows
-    labels = ["M" if v else "B" for v in rng.integers(0, 2, n)]
-    labels[:2] = ["M", "B"]
-    model = train(X, labels, seed=seed, trees_count=int(rng.integers(1, 8)),
+    y = rng.integers(0, 2, n).astype(np.int8)
+    y[:2] = [1, 0]
+    model = train(X, y, seed=seed, trees_count=int(rng.integers(1, 8)),
                   max_depth=int(rng.integers(1, 7)))
 
     ids = np.arange(model.label.size)
@@ -187,16 +188,22 @@ def test_predict_scores_match_per_row_walk(seed):
 def test_train_input_validation():
     X = np.zeros((4, 2))
     with pytest.raises(ConfigError):
-        train(X, ["M", "M", "M", "M"], seed=0)  # one class only
+        train(X, np.array([1, 1, 1, 1]), seed=0)  # one class only
     with pytest.raises(ConfigError):
-        train(X, ["M", "B"], seed=0)  # label count mismatch
+        train(X, np.array([1, 0]), seed=0)  # label count mismatch
     with pytest.raises(ConfigError):
-        train(np.zeros(4), ["M", "B", "M", "B"], seed=0)  # not a matrix
+        train(np.zeros(4), np.array([1, 0, 1, 0]), seed=0)  # not a matrix
+    with pytest.raises(ConfigError):
+        train(X, np.array([[1, 0, 1, 0]]), seed=0)  # codes not one per row
+    with pytest.raises(ConfigError):
+        train(X, np.array([1, 0, 2, 0]), seed=0)  # a code other than 0 or 1
+    with pytest.raises(ConfigError):
+        train(X, ["M", "B", "M", "B"], seed=0)  # strings, not codes
 
 
 def test_predict_arity_checked():
     fvt = _separable(10)
-    model = train(fvt.weights, fvt.labels, seed=0, trees_count=3)
+    model = train(fvt.weights, fvt.y, seed=0, trees_count=3)
     with pytest.raises(ConfigError):
         predict(model, np.zeros((2, 5)))
 
@@ -205,10 +212,10 @@ def test_forest_stable_under_duplicated_rows():
     # duplicating the corpus must not flip clean-region predictions
     fvt = _separable(25, noise=0.03)
     X2 = np.vstack([fvt.weights, fvt.weights])
-    y2 = list(fvt.labels) * 2
+    y2 = np.concatenate([fvt.y, fvt.y])
     model = train(X2, y2, seed=3, trees_count=50, max_depth=8)
     probe = np.array([[0.8, 0.5], [0.2, 0.5]])
-    assert predict(model, probe) == ["M", "B"]
+    assert predict(model, probe).tolist() == [1, 0]
 
 
 # ---- metrics ----
@@ -235,10 +242,7 @@ def test_metrics_empty_and_degenerate():
 
 def test_confusion_add_and_total():
     a = ConfusionMatrix(tp=1, tn=2, fp=3, fn=4)
-    b = ConfusionMatrix(tp=10, tn=20, fp=30, fn=40)
-    s = a + b
-    assert (s.tp, s.tn, s.fp, s.fn) == (11, 22, 33, 44)
-    assert s.total == 110
+    assert a.total == 10
     assert a.as_dict() == {"tp": 1, "tn": 2, "fp": 3, "fn": 4}
 
 
@@ -345,6 +349,48 @@ def test_report_csv_layout(tmp_path):
     assert len(lines) == 5  # header, two rows, average, std_dev
     assert lines[3].startswith("average,")
     assert lines[4].startswith("std_dev,")
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15)
+def test_sweep_folds_match_direct_training(seed):
+    # every fold's confusion must be what the forest trained on the other folds
+    # predicts for that fold, and every row's metrics those of the summed folds
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n_m, n_b = int(rng.integers(k, 15)), int(rng.integers(k, 15))
+    n, d = n_m + n_b, int(rng.integers(1, 5))
+    X = np.round(rng.uniform(0, 1, (n, d)), 1)
+    labels = ["M"] * n_m + ["B"] * n_b
+    order = rng.permutation(n)
+    fvt = _fvt(X[order], [labels[i] for i in order])
+    ranking = [str(c) for c in rng.permutation(fvt.calls)]
+    lengths = sorted({1, d})
+    trees, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    rep = sweep(fvt, ranking, lengths, folds=k, seed=seed, trees_count=trees, max_depth=depth)
+
+    fold_indices = stratified_folds(fvt.labels, k, seed)
+    y = np.array([lab == "M" for lab in fvt.labels], dtype=np.int8)
+    assert [r.length for r in rep.rows] == lengths
+    for row in rep.rows:
+        Xl = np.column_stack([fvt.column(c) for c in ranking[:row.length]])
+        assert len(row.folds) == k
+        for i, test in enumerate(fold_indices):
+            rest = np.setdiff1d(np.arange(n), test)
+            model = train(Xl[rest], y[rest], seed=_fold_seed(seed, row.length, i),
+                          trees_count=trees, max_depth=depth)
+            got, want = predict(model, Xl[test]), y[test]
+            assert row.folds[i].as_dict() == {
+                "tp": int(((want == 1) & (got == 1)).sum()),
+                "tn": int(((want == 0) & (got == 0)).sum()),
+                "fp": int(((want == 0) & (got == 1)).sum()),
+                "fn": int(((want == 1) & (got == 0)).sum()),
+            }
+        summed = ConfusionMatrix(
+            **{key: sum(cm.as_dict()[key] for cm in row.folds) for key in ("tp", "tn", "fp", "fn")}
+        )
+        ms = metrics(summed)
+        assert (row.acc, row.fpr, row.paper_auc, row.f1) == (ms.acc, ms.fpr, ms.paper_auc, ms.f1)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -131,15 +131,6 @@ def test_discretize_rejects_out_of_range():
         discretize(fvt)
 
 
-def test_restrict_keeps_requested_columns(tiny_corpus):
-    fvt = build_fvt(tiny_corpus)
-    sub = fvt.restrict(["write", "open"])
-    assert sub.calls == ("write", "open")
-    np.testing.assert_array_equal(sub.column("open"), fvt.column("open"))
-    with pytest.raises(ConfigError):
-        fvt.restrict(["nope"])
-
-
 def test_fvt_csv_roundtrip(tmp_path, tiny_corpus):
     fvt = build_fvt(tiny_corpus)
     p = tmp_path / "fvt.csv"
@@ -235,6 +226,7 @@ _GOOD = dict(
         ({"sample_ids": ("a", "b", "c")}, "shape"),
         ({"labels": ("M",)}, "labels"),
         ({"labels": ("M", "X")}, "M or B"),
+        ({"calls": ("u", "u")}, "duplicate call: 'u'"),
     ],
 )
 def test_decision_table_checks_invariants(change, match):
@@ -249,6 +241,7 @@ def test_decision_table_checks_invariants(change, match):
         ({"weights": np.zeros((3, 2))}, "shape"),
         ({"labels": ("M", "B", "B")}, "labels"),
         ({"labels": ("M", "benign")}, "M or B"),
+        ({"calls": ("v", "v")}, "duplicate call: 'v'"),
     ],
 )
 def test_feature_table_checks_invariants(change, match):

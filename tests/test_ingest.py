@@ -236,9 +236,29 @@ def test_records_jsonl_roundtrip(tmp_path):
     assert set(first) == {"sample_id", "label", "counts", "total"}
 
 
-def test_records_jsonl_bad_line_named(tmp_path):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "not json",
+        '{"sample_id": "b", "label": "M", "counts": [], "total": 0}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": 1.5}, "total": 1}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": "3"}, "total": 3}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": true}, "total": 1}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": 1}, "total": 1.0}',
+        '{"sample_id": 7, "label": "M", "counts": {}, "total": 0}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": 0}, "total": 0}',
+        '{"sample_id": "b", "label": "M", "counts": {"open": 2}, "total": 3}',
+        '{"sample_id": "b", "label": "X", "counts": {}, "total": 0}',
+        '{"sample_id": "b", "label": "M", "counts": {}}',
+        '["b", "M", {}, 0]',
+    ],
+    ids=["not-json", "counts-list", "float-count", "string-count", "bool-count",
+         "float-total", "int-sample_id", "zero-count", "total-mismatch", "bad-label",
+         "no-total", "array"],
+)
+def test_records_jsonl_bad_line_named(tmp_path, bad):
     p = tmp_path / "records.jsonl"
-    p.write_text('{"sample_id": "a", "label": "M", "counts": {}, "total": 0}\nnot json\n')
+    p.write_text('{"sample_id": "a", "label": "M", "counts": {}, "total": 0}\n' + bad + "\n")
     with pytest.raises(ConfigError, match="line 2"):
         read_records_jsonl(p)
 
