@@ -39,7 +39,7 @@ def main() -> None:
     print("labels:", dict(zip(table.sample_ids, table.labels)))
 
     for call in table.calls:
-        blocks = partition(table, [call]).blocks
+        blocks = partition(table, [call])
         pos = sorted(positive_region(table, [call]))
         psi = significance(table, [call])
         names = [tuple(table.sample_ids[i] for i in b) for b in blocks]

@@ -60,7 +60,6 @@ from .oracles import (
     random_decision_table,
 )
 from .roughset import (
-    Partition,
     Reduct,
     ReductStep,
     generate_reduct,

@@ -26,6 +26,7 @@ from .featurize import (
 )
 from .ingest import (
     ingest_corpus,
+    read_input,
     read_manifest,
     read_records_jsonl,
     write_records_jsonl,
@@ -140,7 +141,8 @@ def _cmd_select(args) -> int:
     else:
         records = read_records_jsonl(args.records)
         fvt = build_fvt(records, min_df=args.min_df)
-        table = discretize(fvt)
+        # ig and su bin inside baselines.rank; chi needs no bins.
+        table = discretize(fvt) if args.method in ("rsst", "roughset") else None
         z_table = (
             fvt
             if args.z_weights == "tfidf"
@@ -185,11 +187,11 @@ def _cmd_eval(args) -> int:
     records = read_records_jsonl(args.records)
     fvt = build_fvt(records, min_df=args.min_df)
     try:
-        selection = json.loads(Path(args.selection).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read selection report {args.selection!r}: {exc}") from exc
+        selection = json.loads(read_input(args.selection, "selection report"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"selection report is not valid JSON: {exc}") from exc
+    if not isinstance(selection, dict):
+        raise ConfigError("selection report must be a JSON object")
     ranking = selection.get("ranking")
     if not isinstance(ranking, list) or not ranking:
         raise ConfigError("selection report carries no ranking")

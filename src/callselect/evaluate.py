@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -223,6 +224,12 @@ def sweep(
     if not lengths:
         raise ConfigError("lengths must not be empty")
     ranking = list(ranking)
+    if not all(isinstance(call, str) for call in ranking):
+        raise ConfigError("ranking entries must be call names")
+    for what, items in (("call", ranking), ("length", lengths)):
+        repeated = [x for x, n in Counter(items).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"repeated {what} {repeated[0]!r}; each may appear once")
     for length in lengths:
         if not 1 <= length <= len(ranking):
             raise ConfigError(

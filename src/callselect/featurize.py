@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .ingest import CallCountRecord
+from .ingest import CallCountRecord, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
 
@@ -133,11 +133,7 @@ def _write_table_csv(path, sample_ids, calls, labels, cell_rows) -> None:
 
 def read_decision_table_csv(path: str | Path) -> DecisionTable:
     """Read a decision table in the to_csv layout (sample_id first, label last)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read decision table {str(path)!r}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
+    rows = list(csv.reader(read_input(path, "decision table").splitlines()))
     if not rows or len(rows[0]) < 3 or rows[0][0] != "sample_id" or rows[0][-1] != "label":
         raise ConfigError("decision table header must be sample_id,<calls...>,label")
     calls = tuple(rows[0][1:-1])

@@ -43,8 +43,6 @@ class TreeEnsemble:
     n_features: int
     trees_count: int
     max_depth: int
-    features_per_split: int
-    seed: int
 
 
 def _gini(p1: np.ndarray) -> np.ndarray:
@@ -145,8 +143,6 @@ def train(
         n_features=d,
         trees_count=trees_count,
         max_depth=max_depth,
-        features_per_split=mtry,
-        seed=seed,
     )
 
 

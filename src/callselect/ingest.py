@@ -46,7 +46,6 @@ _RESUMED = re.compile(r"^<\.\.\. ([A-Za-z_][A-Za-z0-9_]*) resumed")
 class TraceLine:
     """One classified log line."""
 
-    raw_text: str
     kind: str
     call_name: str | None = None
 
@@ -96,26 +95,34 @@ class IngestResult:
     summaries: list[ParseSummary]
 
 
+def read_input(path: str | Path, what: str, errors: str = "strict") -> str:
+    """The whole UTF-8 file; an unreadable or undecodable one is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8", errors=errors)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from exc
+
+
 def parse_line(line: str) -> TraceLine:
     """Classify one log line. Never raises."""
     text = line.strip()
     text = text[_PREFIX.match(text).end():]  # every part is optional, so it always matches
     if not text:
-        return TraceLine(line, "garbage")
+        return TraceLine("garbage")
     if text.startswith("+++") and text.endswith("+++"):
-        return TraceLine(line, "exit")
+        return TraceLine("exit")
     if text.startswith("---") and text.endswith("---") and len(text) > 6:
-        return TraceLine(line, "signal")
+        return TraceLine("signal")
     m = _RESUMED.match(text)
     if m:
-        return TraceLine(line, "resumed", m.group(1))
+        return TraceLine("resumed", m.group(1))
     m = _CALL_HEAD.match(text)
     if m:
         rest = text[m.end():]
         if "<unfinished" in rest:
-            return TraceLine(line, "unfinished", m.group(1))
-        return TraceLine(line, "call", m.group(1))
-    return TraceLine(line, "garbage")
+            return TraceLine("unfinished", m.group(1))
+        return TraceLine("call", m.group(1))
+    return TraceLine("garbage")
 
 
 def parse_log_detailed(
@@ -152,11 +159,8 @@ def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
         if sample_id in seen:
             raise ConfigError(f"duplicate sample_id: {sample_id!r}")
         seen.add(sample_id)
-        try:
-            # Trace logs are byte streams of uncertain encoding; decode lossily.
-            text = Path(path).read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            raise ConfigError(f"cannot read trace log {path!r}: {exc}") from exc
+        # Trace logs are byte streams of uncertain encoding; decode lossily.
+        text = read_input(path, "trace log", errors="replace")
         record, summary = parse_log_detailed(
             text.splitlines(), sample_id, label, path=str(path)
         )
@@ -171,11 +175,7 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     Relative log paths are resolved against the manifest's directory.
     """
     manifest_path = Path(path)
-    try:
-        text = manifest_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {str(path)!r}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(read_input(path, "manifest").splitlines())
     expected = ["path", "label", "sample_id"]
     if reader.fieldnames != expected:
         raise ConfigError(
@@ -215,11 +215,7 @@ def read_records_jsonl(path: str | Path) -> list[CallCountRecord]:
     total an integer: a count of 1.5, "3" or true is an error, not 1 or 3.
     """
     records: list[CallCountRecord] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read record file {str(path)!r}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path, "record file").splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -12,7 +12,9 @@ block and each attribute refines the block ids (id * 5 + bin, renumbered
 through np.unique), so the work grows as attributes x samples rather
 than with pairwise comparison. Label purity of the blocks then comes from
 two bincounts of the block ids: one counts rows, one sums the 0/1 label
-codes, and a block is pure when its sum is 0 or its size.
+codes, and a block is pure when its sum is 0 or its size. Only
+partition turns the ids into blocks of row indices, a plain tuple of
+tuples for display and tests; the reduct never builds them.
 """
 from __future__ import annotations
 
@@ -23,15 +25,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .featurize import DecisionTable
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Indiscernibility classes, each a tuple of row indices, ordered by first member."""
-
-    attrs: tuple[str, ...]
-    blocks: tuple[tuple[int, ...], ...]
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -92,18 +85,14 @@ def _pos_size(ids: np.ndarray, y: np.ndarray) -> int:
     return int(sizes[pure].sum())
 
 
-def partition(table: DecisionTable, attrs: Iterable[str]) -> Partition:
-    """Group rows by their value tuple over attrs; no attrs means one block."""
-    names = tuple(sorted(set(attrs)))
-    ids = _block_ids(table, names)
+def partition(table: DecisionTable, attrs: Iterable[str]) -> tuple[tuple[int, ...], ...]:
+    """Row-index blocks of rows that agree on attrs, ordered by first member;
+    no attrs means one block."""
+    ids = _block_ids(table, attrs)
     order = np.argsort(ids, kind="stable")
     cuts = np.flatnonzero(np.diff(ids[order])) + 1
     blocks = [tuple(b.tolist()) for b in np.split(order, cuts)] if ids.size else []
-    return Partition(
-        attrs=names,
-        blocks=tuple(sorted(blocks, key=lambda block: block[0])),
-        n_samples=table.n_samples,
-    )
+    return tuple(sorted(blocks, key=lambda block: block[0]))
 
 
 def positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:

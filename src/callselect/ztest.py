@@ -5,6 +5,8 @@ compared with z = (mean_M - mean_B) / sqrt(var_M/n_M + var_B/n_B), using
 population variances. Calls pass only when |z| strictly exceeds the
 critical value (1.96 at the default alpha of 0.05); survivors are split
 into a malware-leaning list (z > 0) and a benign-leaning list (z < 0).
+z_score is the one place the pooled standard error is formed; when it is
+zero, filter_calls records the call as rejected with z None.
 
 A compatibility switch replaces the variances with standard deviations
 inside the square root for callers that need that exact variant.
@@ -85,15 +87,13 @@ def class_stats(fvt: FeatureVectorTable, call: str) -> ClassStats:
     )
 
 
-def pooled_standard_error(stats: ClassStats, sigma_as_stddev: bool = False) -> float:
+def z_score(stats: ClassStats, sigma_as_stddev: bool = False) -> float:
+    """(mean_M - mean_B) over the pooled standard error; a zero error is a ConfigError."""
     if sigma_as_stddev:
         inner = math.sqrt(stats.var_m) / stats.n_m + math.sqrt(stats.var_b) / stats.n_b
     else:
         inner = stats.var_m / stats.n_m + stats.var_b / stats.n_b
-    return math.sqrt(inner)
-
-def z_score(stats: ClassStats, sigma_as_stddev: bool = False) -> float:
-    se = pooled_standard_error(stats, sigma_as_stddev)
+    se = math.sqrt(inner)
     if se == 0.0:
         raise ConfigError(
             f"zero pooled standard error for {stats.call!r}; z is undefined"
@@ -114,25 +114,6 @@ def critical_value(alpha: float = DEFAULT_ALPHA, z_crit: float | None = None) ->
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def call_verdict(
-    fvt: FeatureVectorTable,
-    call: str,
-    alpha: float = DEFAULT_ALPHA,
-    z_crit: float | None = None,
-    sigma_as_stddev: bool = False,
-) -> ZVerdict:
-    crit = critical_value(alpha, z_crit)
-    stats = class_stats(fvt, call)
-    if pooled_standard_error(stats, sigma_as_stddev) == 0.0:
-        return ZVerdict(call=call, z=None, rejected_null=False, dominant="none")
-    z = z_score(stats, sigma_as_stddev)
-    if abs(z) > crit:
-        return ZVerdict(
-            call=call, z=z, rejected_null=True, dominant="M" if z > 0 else "B"
-        )
-    return ZVerdict(call=call, z=z, rejected_null=False, dominant="none")
-
-
 def filter_calls(
     fvt: FeatureVectorTable,
     candidates: Iterable[str],
@@ -147,10 +128,16 @@ def filter_calls(
     for name in names:
         if name not in known:
             raise ConfigError(f"candidate {name!r} is not in the feature table")
-    verdicts = [
-        call_verdict(fvt, name, alpha=alpha, z_crit=crit, sigma_as_stddev=sigma_as_stddev)
-        for name in names
-    ]
+    verdicts = []
+    for name in names:
+        stats = class_stats(fvt, name)  # too few samples per class still raises
+        try:
+            z = z_score(stats, sigma_as_stddev)
+        except ConfigError:  # zero pooled standard error
+            z = None
+        reject = z is not None and abs(z) > crit
+        dominant = ("M" if z > 0 else "B") if reject else "none"
+        verdicts.append(ZVerdict(call=name, z=z, rejected_null=reject, dominant=dominant))
     malware = sorted(
         (v for v in verdicts if v.rejected_null and v.dominant == "M"),
         key=lambda v: (-v.z, v.call),

@@ -234,6 +234,73 @@ def test_eval_requested_length_too_long(capsys, corpus, tmp_path):
     assert "99" in json.loads(err)["message"]
 
 
+@pytest.fixture
+def records(capsys, corpus, tmp_path):
+    root, man = corpus
+    _run(capsys, "ingest", "--manifest", str(man), "--out-dir", str(tmp_path / "out"))
+    return tmp_path / "out" / "records.jsonl"
+
+
+@pytest.mark.parametrize(
+    "selection, lengths, message",
+    [
+        ('["write", "ptrace"]', "1", "selection report must be a JSON object"),
+        ('{"ranking": [["write"]]}', "1", "ranking entries must be call names"),
+        ('{"ranking": ["write", "ptrace", "write"]}', "2", "repeated call 'write'"),
+        ('{"ranking": ["write", "ptrace"]}', "1,1", "repeated length 1"),
+    ],
+    ids=["list", "nested-entry", "repeated-call", "repeated-length"],
+)
+def test_eval_malformed_selection_exits_2(capsys, records, tmp_path, selection, lengths, message):
+    sel = tmp_path / "sel.json"
+    sel.write_text(selection)
+    code, out, err = _run(
+        capsys, "eval", "--records", str(records), "--selection", str(sel),
+        "--lengths", lengths, "--folds", "3", "--trees", "3", "--out", str(tmp_path / "e.json"),
+    )
+    assert code == 2
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError"
+    assert message in obj["message"]
+
+
+# Latin-1 bytes in each UTF-8 input, with the argv that reads it.
+_UNDECODABLE = {
+    "manifest": (
+        b"path,label,sample_id\ncaf\xe9.log,M,s1\n",
+        lambda bad, rec, out: ["ingest", "--manifest", bad, "--out-dir", out],
+    ),
+    "record file": (
+        b'{"sample_id": "caf\xe9", "label": "M", "counts": {}, "total": 0}\n',
+        lambda bad, rec, out: ["featurize", "--records", bad, "--out-dir", out],
+    ),
+    "decision table": (
+        b"sample_id,a,label\ncaf\xe9,B1,M\n",
+        lambda bad, rec, out: ["select", "--decision-table", bad, "--method", "roughset",
+                               "--out", out + "/sel.json"],
+    ),
+    "selection report": (
+        b'{"ranking": ["caf\xe9"]}\n',
+        lambda bad, rec, out: ["eval", "--records", rec, "--selection", bad, "--lengths", "1",
+                               "--out", out + "/eval.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("what", list(_UNDECODABLE))
+def test_undecodable_input_exits_2(capsys, records, tmp_path, what):
+    content, argv = _UNDECODABLE[what]
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content)
+    code, out, err = _run(capsys, *argv(str(bad), str(records), str(tmp_path / "o")))
+    assert code == 2
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError"
+    assert obj["message"].startswith(
+        f"cannot read {what} {str(bad)!r}: 'utf-8' codec can't decode byte 0xe9"
+    )
+
+
 def test_synth_select_eval_pipeline(capsys, tmp_path):
     run = tmp_path / "run"
     code, out, _ = _run(

@@ -129,8 +129,6 @@ def test_predict_tie_goes_benign():
         n_features=2,
         trees_count=2,
         max_depth=1,
-        features_per_split=1,
-        seed=0,
     )
     X = np.array([[0.4, 0.6]])
     assert predict_scores(model, X).tolist() == [0.5]
@@ -328,6 +326,28 @@ def test_sweep_ranking_must_exist_in_table():
     fvt = _separable(10)
     with pytest.raises(ConfigError):
         sweep(fvt, ["ghost"], lengths=[1], folds=2, trees_count=2)
+
+
+def test_sweep_rejects_repeated_call():
+    # a length-3 prefix of ["c0", "c0", "c0"] would train on one feature
+    fvt = _separable(10)
+    with pytest.raises(ConfigError, match="repeated call 'c0'"):
+        sweep(fvt, ["c0", "c0", "c0"], lengths=[3], folds=2, trees_count=3)
+    with pytest.raises(ConfigError, match="repeated call 'c0'"):
+        sweep(fvt, ["c0", "c1", "c0"], lengths=[1], folds=2, trees_count=3)
+
+
+def test_sweep_rejects_repeated_length():
+    fvt = _separable(10)
+    with pytest.raises(ConfigError, match="repeated length 1"):
+        sweep(fvt, list(fvt.calls), lengths=[1, 2, 1], folds=2, trees_count=3)
+
+
+@pytest.mark.parametrize("entry", [["c0"], 3, None])
+def test_sweep_ranking_entries_are_names(entry):
+    fvt = _separable(10)
+    with pytest.raises(ConfigError, match="call names"):
+        sweep(fvt, ["c1", entry], lengths=[1], folds=2, trees_count=3)
 
 
 def test_sweep_averages_rows():

@@ -21,14 +21,14 @@ SEVEN = 7
 
 def test_partition_blocks_by_first_index(golden_table):
     p = partition(golden_table, ["s1"])
-    assert p.blocks == ((0, 5), (1, 2, 3), (4, 6))
+    assert p == ((0, 5), (1, 2, 3), (4, 6))
     p2 = partition(golden_table, ["s1", "s3"])
-    assert p2.blocks == ((0,), (1, 2), (3,), (4,), (5,), (6,))
+    assert p2 == ((0,), (1, 2), (3,), (4,), (5,), (6,))
 
 
 def test_partition_empty_attrs_is_single_block(golden_table):
     p = partition(golden_table, [])
-    assert p.blocks == (tuple(range(SEVEN)),)
+    assert p == (tuple(range(SEVEN)),)
 
 
 def test_partition_unknown_attr(golden_table):
@@ -147,7 +147,7 @@ def tables(draw, max_samples=20, max_attrs=6):
 def test_partition_is_a_partition(table):
     for attrs in ([], list(table.calls[:1]), list(table.calls)):
         p = partition(table, attrs)
-        seen = [i for b in p.blocks for i in b]
+        seen = [i for b in p for i in b]
         assert sorted(seen) == list(range(table.n_samples))
         assert len(seen) == len(set(seen))
 
@@ -157,7 +157,7 @@ def test_partition_blocks_match_pairwise_equality(table):
     # two rows share a block exactly when they agree on every chosen attribute
     attrs = list(table.calls[: len(table.calls) // 2 + 1])
     cols = [table.calls.index(a) for a in attrs]
-    block_of = {i: b for b, block in enumerate(partition(table, attrs).blocks) for i in block}
+    block_of = {i: b for b, block in enumerate(partition(table, attrs)) for i in block}
     for i in range(table.n_samples):
         for j in range(table.n_samples):
             same = all(table.bins[i, c] == table.bins[j, c] for c in cols)

@@ -17,7 +17,7 @@ from callselect import (
     filter_calls,
     z_score,
 )
-from callselect.ztest import ClassStats, call_verdict, pooled_standard_error
+from callselect.ztest import ClassStats
 
 
 def _fvt(weights, labels, calls=None):
@@ -59,8 +59,7 @@ def test_z_worked_example():
 def test_sigma_as_stddev_variant():
     st_ = ClassStats(call="c", mean_m=0.6, mean_b=0.4, var_m=0.04, var_b=0.04, n_m=100, n_b=100)
     # the variant reads the variance slots as standard deviations
-    se = pooled_standard_error(st_, sigma_as_stddev=True)
-    assert se == pytest.approx(math.sqrt(0.2 / 100 + 0.2 / 100), rel=1e-12)
+    se = math.sqrt(0.2 / 100 + 0.2 / 100)
     assert z_score(st_, sigma_as_stddev=True) == pytest.approx(0.2 / se, rel=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_critical_value_non_default_alpha_is_pinned():
 
 def test_verdict_degenerate_column_is_none():
     fvt = _fvt([[0.5], [0.5], [0.5], [0.5]], ["M", "M", "B", "B"])
-    v = call_verdict(fvt, "c0")
+    (v,) = filter_calls(fvt, ["c0"]).rejected
     assert v.z is None
     assert v.dominant == "none"
     assert not v.rejected_null
