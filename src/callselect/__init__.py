@@ -58,6 +58,7 @@ from .oracles import (
     naive_positive_region,
     pairwise_roc_auc,
     random_decision_table,
+    reference_forest,
 )
 from .roughset import (
     Reduct,

@@ -172,7 +172,8 @@ def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
 def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     """Read a manifest CSV with header path,label,sample_id.
 
-    Relative log paths are resolved against the manifest's directory.
+    Every row must have exactly those three fields. Relative log paths are
+    resolved against the manifest's directory.
     """
     manifest_path = Path(path)
     reader = csv.DictReader(read_input(path, "manifest").splitlines())
@@ -184,6 +185,12 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
         )
     rows: list[tuple[str, str, str]] = []
     for row in reader:
+        # DictReader fills a short row with None and files extra fields under None.
+        if None in row or None in row.values():
+            raise ConfigError(
+                f"manifest line {reader.line_num} of {str(path)!r} must have "
+                f"{len(expected)} fields ({','.join(expected)})"
+            )
         label = row["label"]
         if label not in LABELS:
             raise ConfigError(

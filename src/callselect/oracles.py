@@ -2,9 +2,10 @@
 
 These deliberately take the slow, literal route: the positive region via
 pairwise comparison of every sample pair, the best reduct via full subset
-enumeration, and roc_auc via explicit pair counting. They exist so the
-production implementations can be verified against an independent
-formulation, and they refuse inputs large enough to make that painful.
+enumeration, roc_auc via explicit pair counting, and the forest by growing
+each tree depth first, one node at a time. They exist so the production
+implementations can be verified against an independent formulation, and
+they refuse inputs large enough to make that painful.
 """
 from __future__ import annotations
 
@@ -16,8 +17,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .featurize import DecisionTable
+from .forest import TreeEnsemble, _check_fit, _Draws, _gini, _mtry
 
 EXHAUSTIVE_ATTR_LIMIT = 15
+REFERENCE_FOREST_LIMIT = 20_000  # trees x rows
 
 
 def naive_positive_region(table: DecisionTable, attrs: Iterable[str]) -> frozenset[int]:
@@ -92,6 +95,91 @@ def pairwise_roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
             elif m == b:
                 credit += 0.5
     return credit / (len(mal) * len(ben))
+
+
+def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray):
+    n = idx.size
+    ones_total = int(y[idx].sum())
+    parent = float(_gini(np.array(ones_total / n)))
+    best = (0.0, -1, 0.0)  # (decrease, feature, threshold)
+    sizes_left = np.arange(1, n, dtype=np.float64)
+    sizes_right = n - sizes_left
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        if sv[0] == sv[-1]:
+            continue
+        sy = y[idx][order]
+        ones_left = np.cumsum(sy)[:-1].astype(np.float64)
+        p_left = ones_left / sizes_left
+        p_right = (ones_total - ones_left) / sizes_right
+        child = (sizes_left * _gini(p_left) + sizes_right * _gini(p_right)) / n
+        decrease = parent - child
+        decrease[sv[:-1] == sv[1:]] = -np.inf  # cannot split between equal values
+        pos = int(np.argmax(decrease))
+        if decrease[pos] > best[0]:
+            threshold = (float(sv[pos]) + float(sv[pos + 1])) / 2.0
+            best = (float(decrease[pos]), int(f), threshold)
+    return best
+
+
+def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
+           max_depth: int, mtry: int, draws: _Draws, nodes: list[tuple]) -> int:
+    """Append the subtree over rows idx to nodes, depth first; return its root id."""
+    n = idx.size
+    ones = int(y[idx].sum())
+    node = len(nodes)
+    nodes.append((0, 0.0, node, node, 1 if 2 * ones > n else 0))  # a leaf unless split
+    if ones == 0 or ones == n or depth >= max_depth:
+        return node
+    features = draws.features(depth, 1, mtry)[0]
+    decrease, feature, threshold = _best_split(X, y, idx, features)
+    if feature < 0 or decrease <= 0.0:
+        return node
+    mask = X[idx, feature] <= threshold
+    left = _build(X, y, idx[mask], depth + 1, max_depth, mtry, draws, nodes)
+    right = _build(X, y, idx[~mask], depth + 1, max_depth, mtry, draws, nodes)
+    nodes[node] = (feature, threshold, left, right, 0)
+    return node
+
+
+def reference_forest(
+    X: np.ndarray,
+    y: np.ndarray,
+    seed: int,
+    trees_count: int,
+    max_depth: int,
+) -> TreeEnsemble:
+    """forest.train grown the literal way: each tree recursively, left child
+    first, from the bootstrap rows with their repeats. It consumes the same
+    bootstrap and per-depth feature draws, so it must grow the same trees;
+    its nodes are numbered depth first rather than in level order."""
+    X, y = _check_fit(X, y, trees_count, max_depth)
+    n, d = X.shape
+    if trees_count * n > REFERENCE_FOREST_LIMIT:
+        raise ConfigError(
+            f"refusing a reference forest of {trees_count} trees x {n} rows "
+            f"(limit {REFERENCE_FOREST_LIMIT})"
+        )
+    draws = _Draws(seed, n, d)
+    nodes: list[tuple] = []
+    roots = [
+        _build(X, y, draws.bootstrap(1)[0], 0, max_depth, _mtry(d), draws, nodes)
+        for _ in range(trees_count)
+    ]
+    feature, threshold, left, right, label = (np.array(col) for col in zip(*nodes))
+    return TreeEnsemble(
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        label=label,
+        roots=np.array(roots),
+        n_features=d,
+        trees_count=trees_count,
+        max_depth=max_depth,
+    )
 
 
 def random_decision_table(

@@ -9,12 +9,13 @@ attributes whose removal leaves significance unchanged.
 
 Every question here is answered by one numpy kernel: rows start in one
 block and each attribute refines the block ids (id * 5 + bin, renumbered
-through np.unique), so the work grows as attributes x samples rather
-than with pairwise comparison. Label purity of the blocks then comes from
-two bincounts of the block ids: one counts rows, one sums the 0/1 label
-codes, and a block is pure when its sum is 0 or its size. Only
-partition turns the ids into blocks of row indices, a plain tuple of
-tuples for display and tests; the reduct never builds them.
+in key order through a presence mask), so the work grows as attributes
+x samples rather than with pairwise comparison. Label purity of the
+blocks then comes from two bincounts of the block ids: one counts rows,
+one sums the 0/1 label codes, and a block is pure when its sum is 0 or
+its size. Only partition turns the ids into blocks of row indices, a
+plain tuple of tuples for display and tests; the reduct never builds
+them.
 """
 from __future__ import annotations
 
@@ -57,11 +58,13 @@ class Reduct:
 
 def _refine(ids: np.ndarray, column: np.ndarray) -> np.ndarray:
     # Bin values are 1..4 (the table checks this), so base 5 keeps keys
-    # collision free; recompressing through unique keeps ids small across
-    # rounds.
+    # collision free and below 5 * (ids.max() + 1). Renumbering the keys
+    # that occur, in key order, keeps ids small across rounds; it gives the
+    # ids np.unique(..., return_inverse=True) would, without a sort.
     combined = ids * 5 + column
-    _, new_ids = np.unique(combined, return_inverse=True)
-    return new_ids
+    present = np.zeros(5 * (int(ids.max()) + 1) if ids.size else 0, dtype=bool)
+    present[combined] = True
+    return (np.cumsum(present) - 1)[combined]
 
 
 def _block_ids(table: DecisionTable, attrs: Iterable[str]) -> np.ndarray:

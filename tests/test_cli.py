@@ -66,6 +66,21 @@ def test_ingest_missing_log_exits_2(capsys, tmp_path):
     assert "ghost.log" in obj["message"]
 
 
+@pytest.mark.parametrize("row", ["a.log,M", "b.log,B,s2,extra"], ids=["missing", "extra"])
+def test_ingest_manifest_field_count_exits_2(capsys, tmp_path, row):
+    (tmp_path / "a.log").write_text("close(3) = 0\n")
+    (tmp_path / "b.log").write_text("close(3) = 0\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text(f"path,label,sample_id\na.log,M,s1\n{row}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "ingest", "--manifest", str(man), "--out-dir", str(out_dir))
+    assert code == 2
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError"
+    assert "manifest line 3" in obj["message"]
+    assert not (out_dir / "records.jsonl").exists()
+
+
 def test_featurize_outputs_both_tables(capsys, corpus, tmp_path):
     root, man = corpus
     out_dir = tmp_path / "out"

@@ -16,8 +16,8 @@ from callselect.cli import main
 EXPECTED = {
     "answer_key.json": "9c1d7f48188fa9a30e9fe53f6927a81de53b8e00f7b33f55bd47ba3084ceb069",
     "decision_table.csv": "25d50b96843c4c72826a86b1e8a454ac6c912ccf729baa7047e2fe68f0b74c74",
-    "eval_rsst.csv": "1674a05a7276a208e20a85a6979a8fd11711d687b86ae18aeb04d7d273f58933",
-    "eval_rsst.json": "10c4587ea712123b70be496b20f524f1df01cd9a05cb0b6bd98b9aba21c8714a",
+    "eval_rsst.csv": "16afb6e08de76cf7fb308f9bd797c9902c28a87fd5d7bd8cd2501cfcda935996",
+    "eval_rsst.json": "d22aa306178eeed6c6be44413599cde05a1010d304229ce60a64a5aecfcfd056",
     "fvt.csv": "77157ffd6f2d4eb966730a9f0893bdc5beef42081eef10b117c25a776019896b",
     "records.jsonl": "d49fb6e39b8491bf9a950bdb5779379db472e76725598c9e56769f9d7933317b",
     "sel_chi.json": "331d240508741cdb6c7700feb219a39d19c312cc5ec9f0a637150aa8e66cabbc",

@@ -1,0 +1,101 @@
+"""The level-wise forest against the depth-first reference, and its node layout."""
+
+import numpy as np
+import pytest
+
+from callselect import forest
+from callselect.errors import ConfigError
+from callselect.forest import predict_scores, train
+from callselect.oracles import reference_forest
+
+
+def _random_fit(case):
+    """A small random table with tied values, duplicate rows and constant columns."""
+    rng = np.random.default_rng(case)
+    n, d = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+    if rng.integers(0, 2):
+        X = rng.integers(0, int(rng.integers(1, 6)), (n, d)).astype(np.float64)
+    else:
+        X = rng.uniform(0, 1, (n, d))
+    if d > 1 and rng.integers(0, 2):
+        X[:, rng.integers(0, d)] = 0.5
+    if rng.integers(0, 2):
+        X[n // 2:] = X[: n - n // 2]
+    y = rng.integers(0, 2, n).astype(np.int8)
+    y[:2] = [1, 0]
+    return rng, X, y, int(rng.integers(1, 9)), int(rng.integers(1, 9))
+
+
+def _splits(model):
+    """{(tree, path, feature, threshold)} over every split, path as L/R steps."""
+    found = set()
+    for tree, root in enumerate(model.roots):
+        stack = [(int(root), "")]
+        while stack:
+            node, path = stack.pop()
+            if model.left[node] == node:
+                continue
+            found.add((tree, path, int(model.feature[node]), float(model.threshold[node])))
+            stack += [(int(model.left[node]), path + "L"), (int(model.right[node]), path + "R")]
+    return found
+
+
+def test_level_wise_matches_reference_forest():
+    mismatches = []
+    for case in range(300):
+        rng, X, y, trees, depth = _random_fit(case)
+        fast = train(X, y, seed=case, trees_count=trees, max_depth=depth)
+        slow = reference_forest(X, y, seed=case, trees_count=trees, max_depth=depth)
+        probe = np.vstack([X, rng.uniform(-1, 6, (5, X.shape[1]))])
+        if not (
+            np.array_equal(predict_scores(fast, probe), predict_scores(slow, probe))
+            and fast.label.size == slow.label.size
+            and _splits(fast) == _splits(slow)
+        ):
+            mismatches.append(case)
+    assert mismatches == []
+
+
+def test_block_size_never_shows(monkeypatch):
+    for case in range(20):
+        _, X, y, trees, depth = _random_fit(1000 + case)
+        n = X.shape[0]
+        fits = []
+        for slots in (n, 3 * n, forest._TREE_ROW_SLOTS):  # 1 tree, 3 trees, default
+            with monkeypatch.context() as m:
+                m.setattr(forest, "_TREE_ROW_SLOTS", slots)
+                fits.append(train(X, y, seed=case, trees_count=trees + 3, max_depth=depth))
+        for other in fits[1:]:
+            for name in ("feature", "threshold", "left", "right", "label", "roots"):
+                assert np.array_equal(getattr(other, name), getattr(fits[0], name)), name
+
+
+def test_node_layout():
+    for case in range(40):
+        _, X, y, trees, depth = _random_fit(2000 + case)
+        model = train(X, y, seed=case, trees_count=trees, max_depth=depth)
+        ids = np.arange(model.label.size)
+        leaf = model.left == ids
+        assert (model.right[leaf] == ids[leaf]).all()  # leaves loop on themselves
+        assert (model.left[~leaf] > ids[~leaf]).all()  # children come after their split
+        assert (model.right[~leaf] > ids[~leaf]).all()
+        assert (model.label[~leaf] == 0).all()
+        # no root-to-leaf path is longer than max_depth, which predict_scores relies on
+        node_depth = np.zeros(ids.size, dtype=int)
+        for node in ids[~leaf]:  # parents come first, so depths fill in id order
+            node_depth[[model.left[node], model.right[node]]] = node_depth[node] + 1
+        assert node_depth.max() <= depth
+        assert (node_depth[model.roots] == 0).all()
+
+
+def test_reference_forest_refuses_large_inputs():
+    X = np.zeros((300, 2))
+    y = np.arange(300) % 2
+    with pytest.raises(ConfigError):
+        reference_forest(X, y, seed=0, trees_count=100, max_depth=4)
+
+
+def test_train_rejects_non_finite_values():
+    X = np.array([[0.0], [np.nan], [1.0]])
+    with pytest.raises(ConfigError):
+        train(X, np.array([1, 0, 1]), seed=0)

@@ -15,6 +15,7 @@ from callselect import (
     significance,
 )
 from callselect.oracles import random_decision_table
+from callselect.roughset import _refine
 
 SEVEN = 7
 
@@ -29,6 +30,16 @@ def test_partition_blocks_by_first_index(golden_table):
 def test_partition_empty_attrs_is_single_block(golden_table):
     p = partition(golden_table, [])
     assert p == (tuple(range(SEVEN)),)
+
+
+def test_refine_ids_match_unique_inverse():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(0, 60))
+        ids = rng.integers(0, int(rng.integers(1, 30)), n)
+        column = rng.integers(1, 5, n).astype(np.int8)
+        want = np.unique(ids * 5 + column, return_inverse=True)[1]
+        assert np.array_equal(_refine(ids, column), want)
 
 
 def test_partition_unknown_attr(golden_table):
