@@ -9,8 +9,12 @@ onto four contiguous bins for the rough-set stage.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +27,9 @@ BIN_LABELS = ("B1", "B2", "B3", "B4")
 
 # Right-closed bin edges: B1=[0,.25], B2=(.25,.5], B3=(.5,.75], B4=(.75,1].
 _BIN_EDGES = np.array([0.25, 0.5, 0.75])
+
+# Bin k's CSV cell with its trailing comma, at index k.
+_BIN_CELLS = ("", *(f"{b}," for b in BIN_LABELS))
 
 
 _LABEL_CODES = {"M": 1, "B": 0}
@@ -92,8 +99,11 @@ class FeatureVectorTable(_Table):
         return self.weights[:, self.column_index(call)]
 
     def to_csv(self, path: str | Path) -> None:
+        # One row at a time: a whole-matrix tolist() would hold every cell
+        # as a Python float at once.
+        fmt = "%.6f," * len(self.calls)
         _write_table_csv(path, self.sample_ids, self.calls, self.labels,
-                         ((f"{w:.6f}" for w in row) for row in self.weights))
+                         (fmt % tuple(row.tolist()) for row in self.weights))
 
 
 @dataclass(frozen=True)
@@ -119,21 +129,36 @@ class DecisionTable(_Table):
         return self.bins[:, self.column_index(call)]
 
     def to_csv(self, path: str | Path) -> None:
-        names = ((BIN_LABELS[b - 1] for b in row) for row in self.bins)
-        _write_table_csv(path, self.sample_ids, self.calls, self.labels, names)
+        _write_table_csv(path, self.sample_ids, self.calls, self.labels,
+                         ("".join([_BIN_CELLS[b] for b in row.tolist()]) for row in self.bins))
+
+
+# What csv.writer (QUOTE_MINIMAL) quotes a field for.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of two or more fields."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_table_csv(path, sample_ids, calls, labels, cell_rows) -> None:
+    """Header through csv.writer, then one line per row: the sample id,
+    the row's cells (each already followed by a comma) and the label,
+    which the table has checked is M or B."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", *calls, "label"])
-        for sid, cells, label in zip(sample_ids, cell_rows, labels):
-            writer.writerow([sid, *cells, label])
+        csv.writer(fh).writerow(["sample_id", *calls, "label"])
+        fh.writelines(f"{_csv_field(sid)},{cells}{label}\r\n"
+                      for sid, cells, label in zip(sample_ids, cell_rows, labels))
 
 
 def read_decision_table_csv(path: str | Path) -> DecisionTable:
     """Read a decision table in the to_csv layout (sample_id first, label last)."""
-    rows = list(csv.reader(read_input(path, "decision table").splitlines()))
+    # Split at "\n" only, so a quoted field may hold a line break and an
+    # unquoted one any other line separator (U+2028, U+0085, ...).
+    rows = list(csv.reader(io.StringIO(read_input(path, "decision table"), newline="\n")))
     if not rows or len(rows[0]) < 3 or rows[0][0] != "sample_id" or rows[0][-1] != "label":
         raise ConfigError("decision table header must be sample_id,<calls...>,label")
     calls = tuple(rows[0][1:-1])
@@ -166,28 +191,32 @@ def _check_corpus(records: Sequence[CallCountRecord]) -> None:
         raise ConfigError("duplicate sample_id in corpus")
 
 
-def _vocabulary(records: Sequence[CallCountRecord], min_df: int) -> tuple[list[str], dict[str, int]]:
-    df: dict[str, int] = {}
-    for r in records:
-        for name in r.counts:
-            df[name] = df.get(name, 0) + 1
+def _term_frequencies(
+    records: Sequence[CallCountRecord], min_df: int
+) -> tuple[list[str], Counter, np.ndarray]:
+    """The vocabulary (calls in at least min_df records, sorted), every
+    call's document frequency, and the tf matrix: count / total_calls per
+    (record, vocabulary call). Rows are filled one at a time; a corpus-wide
+    index array would cost 8-16 bytes per nonzero count."""
+    df = Counter(chain.from_iterable(r.counts for r in records))
     vocab = sorted(name for name, d in df.items() if d >= min_df)
     if not vocab:
         raise ConfigError("empty vocabulary after min_df filtering")
-    return vocab, df
-
-
-def _tf_matrix(records: Sequence[CallCountRecord], vocab: list[str]) -> np.ndarray:
-    col = {name: j for j, name in enumerate(vocab)}
+    col = dict.fromkeys(df, -1)  # -1: below min_df
+    col.update((name, j) for j, name in enumerate(vocab))
+    pruned = len(vocab) < len(col)
     tf = np.zeros((len(records), len(vocab)), dtype=np.float64)
-    for i, r in enumerate(records):
+    for row, r in zip(tf, records):
         if r.total_calls == 0:
             continue
-        for name, n in r.counts.items():
-            j = col.get(name)
-            if j is not None:
-                tf[i, j] = n / r.total_calls
-    return tf
+        n = len(r.counts)
+        idx = np.fromiter(map(col.__getitem__, r.counts), np.intp, n)
+        values = np.fromiter(r.counts.values(), np.float64, n)
+        if pruned:
+            kept = idx >= 0
+            idx, values = idx[kept], values[kept]
+        row[idx] = values / r.total_calls
+    return vocab, df, tf
 
 
 def minmax_columns(matrix: np.ndarray) -> np.ndarray:
@@ -206,8 +235,7 @@ def build_fvt(records: Sequence[CallCountRecord], min_df: int = 1) -> FeatureVec
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
     _check_corpus(records)
-    vocab, df = _vocabulary(records, min_df)
-    tf = _tf_matrix(records, vocab)
+    vocab, df, tf = _term_frequencies(records, min_df)
     r = len(records)
     idf = np.array([math.log(r / df[name]) for name in vocab])
     return FeatureVectorTable(
@@ -225,11 +253,11 @@ def relative_frequency_table(
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
     _check_corpus(records)
-    vocab, _ = _vocabulary(records, min_df)
+    vocab, _, tf = _term_frequencies(records, min_df)
     return FeatureVectorTable(
         sample_ids=tuple(x.sample_id for x in records),
         calls=tuple(vocab),
-        weights=_tf_matrix(records, vocab),
+        weights=tf,
         labels=tuple(x.label for x in records),
     )
 

@@ -17,7 +17,8 @@ slot, one argsort of (node, dense value rank) orders every node's items,
 and cumulative sums give the Gini decrease at each boundary between two
 distinct values. A slot wins only with a strictly greater decrease than
 the slots before it, the decrease must be above 0, the lowest threshold
-wins within a slot, and the threshold is the midpoint of the two values.
+wins within a slot, and the threshold is the midpoint of the two values
+(the lower value where the midpoint is not below the upper one).
 
 Randomness is laid out so that growth order does not matter. The fit
 seed spawns one bootstrap generator, drawn once per tree in tree order,
@@ -186,7 +187,11 @@ def _slot_cuts(X, ranks, seg, row, w, wy, W, M, slot):
     hit = hit[_run_starts(node[hit])]
     lo = X[row[order[cut[hit]]], slot[node[hit]]]
     hi = X[row[order[cut[hit] + 1]], slot[node[hit]]]
-    return node[hit], decrease[hit], (lo + hi) / 2.0
+    # The midpoint of adjacent doubles rounds up to hi, and that of huge
+    # values overflows; lo then keeps lo <= threshold < hi.
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return node[hit], decrease[hit], np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def _best_splits(X, ranks, seg, row, w, wy, W, M, features):

@@ -2,10 +2,11 @@
 
 These deliberately take the slow, literal route: the positive region via
 pairwise comparison of every sample pair, the best reduct via full subset
-enumeration, roc_auc via explicit pair counting, and the forest by growing
-each tree depth first, one node at a time. They exist so the production
-implementations can be verified against an independent formulation, and
-they refuse inputs large enough to make that painful.
+enumeration, roc_auc via explicit pair counting, the forest by growing
+each tree depth first, one node at a time, and term frequencies one count
+at a time. They exist so the production implementations can be verified
+against an independent formulation, and they refuse inputs large enough
+to make that painful.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .featurize import DecisionTable
 from .forest import TreeEnsemble, _check_fit, _Draws, _gini, _mtry
+from .ingest import CallCountRecord
 
 EXHAUSTIVE_ATTR_LIMIT = 15
 REFERENCE_FOREST_LIMIT = 20_000  # trees x rows
@@ -119,7 +121,10 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndar
         decrease[sv[:-1] == sv[1:]] = -np.inf  # cannot split between equal values
         pos = int(np.argmax(decrease))
         if decrease[pos] > best[0]:
-            threshold = (float(sv[pos]) + float(sv[pos + 1])) / 2.0
+            lo, hi = float(sv[pos]), float(sv[pos + 1])
+            threshold = (lo + hi) / 2.0
+            if not lo <= threshold < hi:  # rounded up to hi, or overflowed
+                threshold = lo
             best = (float(decrease[pos]), int(f), threshold)
     return best
 
@@ -180,6 +185,28 @@ def reference_forest(
         trees_count=trees_count,
         max_depth=max_depth,
     )
+
+
+def reference_term_frequencies(
+    records: Sequence[CallCountRecord], min_df: int
+) -> tuple[list[str], dict[str, int], np.ndarray]:
+    """The vocabulary (calls in at least min_df records, sorted), each
+    call's document frequency and the tf matrix, walked one count at a time."""
+    df: dict[str, int] = {}
+    for r in records:
+        for name in r.counts:
+            df[name] = df.get(name, 0) + 1
+    vocab = sorted(name for name, d in df.items() if d >= min_df)
+    col = {name: j for j, name in enumerate(vocab)}
+    tf = np.zeros((len(records), len(vocab)), dtype=np.float64)
+    for i, r in enumerate(records):
+        if r.total_calls == 0:
+            continue
+        for name, n in r.counts.items():
+            j = col.get(name)
+            if j is not None:
+                tf[i, j] = n / r.total_calls
+    return vocab, df, tf
 
 
 def random_decision_table(

@@ -10,6 +10,7 @@ so presence as well as magnitude carries the signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -115,22 +116,19 @@ def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], AnswerKey]:
     mean_b = base + spec.effect_size * ben_mask
 
     records: list[CallCountRecord] = []
-    for label, mean, prefix in (("M", mean_m, "M"), ("B", mean_b, "B")):
-        n = spec.samples_per_class
-        raw = rng.normal(loc=mean, scale=spec.noise_std, size=(n, len(vocab)))
+    for label, mean in (("M", mean_m), ("B", mean_b)):
+        raw = rng.normal(loc=mean, scale=spec.noise_std,
+                         size=(spec.samples_per_class, len(vocab)))
         counts = np.clip(np.rint(raw), 0, None).astype(np.int64)
-        for i in range(n):
-            row = {
-                vocab[j]: int(counts[i, j])
-                for j in range(len(vocab))
-                if counts[i, j] > 0
-            }
+        totals = counts.sum(axis=1).tolist()
+        for i, row in enumerate(counts):
+            row = row.tolist()  # Python ints; compress keeps the nonzero ones
             records.append(
                 CallCountRecord(
-                    sample_id=f"{prefix}{i:04d}",
+                    sample_id=f"{label}{i:04d}",
                     label=label,
-                    counts=row,
-                    total_calls=int(sum(row.values())),
+                    counts=dict(compress(zip(vocab, row), row)),
+                    total_calls=totals[i],
                 )
             )
     key = AnswerKey(

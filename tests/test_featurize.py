@@ -1,5 +1,6 @@
 """Feature tables: tf-idf weighting, normalization, binning, table invariants."""
 
+import csv
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from callselect import (
     read_decision_table_csv,
     relative_frequency_table,
 )
+
+from callselect.oracles import reference_term_frequencies
 
 from conftest import GOLDEN_BINS, GOLDEN_CALLS, GOLDEN_IDS, GOLDEN_LABELS
 
@@ -261,3 +264,85 @@ def test_decision_table_csv_rejects_bad_label(tmp_path):
     p.write_text("sample_id,s1,label\nx1,B2,Q\n")
     with pytest.raises(ConfigError, match="M or B"):
         read_decision_table_csv(p)
+
+
+def _random_corpus(rng):
+    """Records with unsorted count keys, some empty, and rare calls."""
+    names = [f"k{j}" for j in range(int(rng.integers(1, 12)))]
+    records = []
+    for i in range(int(rng.integers(2, 30))):
+        chosen = [str(c) for c in rng.choice(names, size=int(rng.integers(0, len(names) + 1)),
+                                             replace=False)]
+        if rng.integers(0, 4) == 0:
+            chosen.append(f"rare{i}")  # in this record only
+        counts = {c: int(rng.integers(1, 60)) for c in chosen}
+        records.append(_rec(f"s{i}", "MB"[i % 2], counts))
+    return records
+
+
+def test_tf_fill_matches_per_count_reference():
+    for case in range(150):
+        rng = np.random.default_rng(case)
+        records = _random_corpus(rng)
+        min_df = int(rng.integers(1, 4))
+        vocab, df, tf = reference_term_frequencies(records, min_df)
+        if not vocab:
+            with pytest.raises(ConfigError, match="empty vocabulary"):
+                build_fvt(records, min_df=min_df)
+            continue
+        idf = np.array([math.log(len(records) / df[c]) for c in vocab])
+        fvt = build_fvt(records, min_df=min_df)
+        rel = relative_frequency_table(records, min_df=min_df)
+        assert fvt.calls == rel.calls == tuple(vocab), case
+        assert np.array_equal(fvt.weights, minmax_columns(tf * idf)), case
+        assert np.array_equal(rel.weights, tf), case
+
+
+def _reference_csv(path, table):
+    """The writer as it was: every cell formatted, every row through csv.writer."""
+    if isinstance(table, FeatureVectorTable):
+        matrix, cell = table.weights, lambda w: f"{w:.6f}"
+    else:
+        matrix, cell = table.bins, lambda b: BIN_LABELS[b - 1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", *table.calls, "label"])
+        for sid, row, label in zip(table.sample_ids, matrix, table.labels):
+            writer.writerow([sid, *(cell(v) for v in row), label])
+
+
+_AWKWARD_IDS = ("a,b", 'say "hi"', "cr\rhere", "nl\nhere", "crlf\r\n", " lead", "naïve-日本",
+                "x", '"', "", "line\u2028sep", "nel\x85")
+_ROUNDING_EDGES = (0.0000005, 0.9999995, 1.0, 0.0, 0.0000015, 0.5000005, 0.1234565, 2.5e-7)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(0)
+    n = len(_AWKWARD_IDS)
+    calls = ("c,1", 'q"c', "nl\ncall", " sp", "ü", "plain")
+    edges = np.resize(np.array(_ROUNDING_EDGES), (n, len(calls)))
+    mixed = np.where(rng.integers(0, 2, edges.shape), edges, rng.uniform(0, 1, edges.shape))
+    yield pytest.param(_AWKWARD_IDS, calls, mixed, id="awkward")
+    yield pytest.param(("r1", "r2"), ("a", "b", "c", "d"),
+                       np.array([_ROUNDING_EDGES[:4], _ROUNDING_EDGES[4:]]), id="edges")
+    yield pytest.param((), ("a", "b"), np.zeros((0, 2)), id="no-rows")
+    yield pytest.param(("r1", "r2", "r3"), ("only",), np.array([[0.0000005], [1.0], [0.3]]),
+                       id="one-column")
+
+
+@pytest.mark.parametrize("ids, calls, weights", _writer_cases())
+def test_writers_match_csv_writer(tmp_path, ids, calls, weights):
+    labels = tuple("MB"[i % 2] for i in range(len(ids)))
+    fvt = FeatureVectorTable(sample_ids=ids, calls=calls, weights=weights, labels=labels)
+    table = discretize(fvt)
+    for t in (fvt, table):
+        _reference_csv(tmp_path / "want.csv", t)
+        t.to_csv(tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # The reader decodes with universal newlines, so a "\r" inside a
+    # quoted field comes back as "\n"; every other id round-trips.
+    back = read_decision_table_csv(tmp_path / "got.csv")
+    assert back.sample_ids == tuple(s.replace("\r\n", "\n").replace("\r", "\n") for s in ids)
+    assert (back.calls, back.labels) == (table.calls, table.labels)
+    assert back.bins.dtype == table.bins.dtype
+    np.testing.assert_array_equal(back.bins, table.bins)

@@ -99,3 +99,23 @@ def test_train_rejects_non_finite_values():
     X = np.array([[0.0], [np.nan], [1.0]])
     with pytest.raises(ConfigError):
         train(X, np.array([1, 0, 1]), seed=0)
+
+
+_ADJACENT = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("a, b", [
+    (_ADJACENT, np.nextafter(_ADJACENT, 2.0)),  # the midpoint rounds up to b
+    (1.7e308, 1.75e308),  # the midpoint overflows to inf
+    (-1.75e308, -1.7e308),  # ... and to -inf
+])
+def test_split_between_close_or_huge_values(a, b):
+    X = np.array([[a], [b]] * 4)
+    y = np.array([1, 0] * 4, dtype=np.int8)
+    for grow in (train, reference_forest):
+        model = grow(X, y, seed=0, trees_count=1, max_depth=4)
+        # one split and two leaves, the threshold between the two values
+        assert model.label.size == 3
+        assert a <= model.threshold[model.roots[0]] < b
+        assert np.array_equal(predict_scores(model, X[:2]), [1.0, 0.0])
+    assert _splits(train(X, y, 0, 1, 4)) == _splits(reference_forest(X, y, 0, 1, 4))

@@ -1,5 +1,7 @@
 """Synthetic corpora with known answers, plus the brute-force reference lab."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from callselect import (
     random_decision_table,
     significance,
 )
+from callselect.cli import main
 from callselect.synth import SynthSpec, default_spec, vocabulary
 
 
@@ -85,6 +88,35 @@ def test_planted_calls_really_shift():
     m_mean = np.mean([r.counts.get("c000", 0) for r in recs if r.label == "M"])
     b_mean = np.mean([r.counts.get("c000", 0) for r in recs if r.label == "B"])
     assert m_mean > b_mean + 3.0
+
+
+# SHA-256 of synth's records.jsonl and featurize's fvt.csv and
+# decision_table.csv at 60 per class x 120 calls, 4/4 planted calls,
+# noise 3, recorded from the cell-by-cell generator and tf fill;
+# tests/test_digests.py covers only the 200 x 50 default.
+_PINNED_OTHER_SIZE = {
+    1: {
+        "records.jsonl": "922414defcb8a9de40988d0e17394b639196212bade380f44ea4b1bac5a93f9d",
+        "fvt.csv": "b07d98f2c2b1ad158431fc2f4c91108400cdb6c04b0a922fd715344891a7c9f0",
+        "decision_table.csv": "307218257c3c30f47c09de6a9b23eb4a9700bdf773e87c471a9afd68bc5b7d13",
+    },
+    2: {
+        "records.jsonl": "32a8260e88d105ac5f2efc7dc89e48f782e8c5e951c34f68acedc58650e5ad3a",
+        "fvt.csv": "fff5cac203b51eee86a11e1c51bf3345a1bf6f5ff7c5634c6bd92c48ce09e001",
+        "decision_table.csv": "77834c075b27bc6377682cc884ba53b482a2e0cca947c573a788f9d2f433fa22",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_OTHER_SIZE))
+def test_synth_and_tables_pinned_at_another_size(tmp_path, seed):
+    assert main(["synth", "--samples-per-class", "60", "--vocabulary-size", "120",
+                 "--planted-malware", "4", "--planted-benign", "4", "--noise-std", "3",
+                 "--seed", str(seed), "--out-dir", str(tmp_path)]) == 0
+    assert main(["featurize", "--records", str(tmp_path / "records.jsonl"),
+                 "--out-dir", str(tmp_path)]) == 0
+    for name, digest in _PINNED_OTHER_SIZE[seed].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # ---- brute-force oracles ----
