@@ -59,6 +59,7 @@ from .oracles import (
     pairwise_roc_auc,
     random_decision_table,
     reference_forest,
+    reference_parse_line,
     reference_term_frequencies,
 )
 from .roughset import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -22,24 +22,28 @@ LINE_KINDS = ("call", "unfinished", "resumed", "signal", "exit", "garbage")
 
 LABELS = ("M", "B")
 
-# Optional pid column emitted by strace -f, then an optional timestamp
-# from strace -t, -tt or -ttt.
-# Examples: "1234  close(3) = 0" (log file), "[pid  1234] close(3) = 0"
-# (terminal), "10:00:01 close(3) = 0", "10:00:01.123456 close(3) = 0",
-# "1697623201.123456 close(3) = 0", "[pid  1234] 10:00:01 close(3) = 0"
-_PREFIX = re.compile(
+# The line grammar, matched against the stripped line. An optional pid
+# column emitted by strace -f, then an optional timestamp from strace -t,
+# -tt or -ttt, then exactly one of:
+#   exit      "+++ exited with 0 +++"  (starts and ends with "+++")
+#   signal    "--- SIGCHLD {si_signo=SIGCHLD} ---"  (longer than "------")
+#   resumed   '<... read resumed> "\\x7fELF", 832) = 832'
+#   call      'openat(AT_FDCWD, "/etc/ld.so.cache", O_RDONLY) = 3', the
+#             maximal identifier prefix immediately followed by "("
+# Prefix examples: "1234  close(3) = 0" (log file), "[pid  1234] close(3) = 0"
+# (terminal), "10:00:01.123456 close(3) = 0", "1697623201.123456 close(3) = 0".
+# No shorter prefix can start an alternative (each starts with "+", "-",
+# "<" or a letter or "_"), so backtracking never finds a different match.
+# DOTALL because a caller of parse_line may pass a string holding "\n".
+_LINE = re.compile(
     r"(?:(?:\[pid\s+\d+\]|\d+)\s+)?"
     r"(?:(?:\d{1,2}:\d{2}:\d{2}(?:\.\d+)?|\d+\.\d+)\s+)?"
+    r"(?:(?P<exit>\+\+\+(?:.*\+\+\+|\+{0,2})\Z)"
+    r"|(?P<signal>---.+---\Z)"
+    r"|<\.\.\. (?P<resumed>[A-Za-z_][A-Za-z0-9_]*) resumed"
+    r"|(?P<call>[A-Za-z_][A-Za-z0-9_]*)\()",
+    re.DOTALL,
 )
-
-# A call line starts with the call name, the maximal identifier prefix
-# immediately followed by "(".
-# Example: 'openat(AT_FDCWD, "/etc/ld.so.cache", O_RDONLY|O_CLOEXEC) = 3'
-_CALL_HEAD = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(")
-
-# Continuation of a call interrupted by a signal or another thread.
-# Example: '<... read resumed> "\\x7fELF", 832) = 832'
-_RESUMED = re.compile(r"^<\.\.\. ([A-Za-z_][A-Za-z0-9_]*) resumed")
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,10 @@ class IngestResult:
 
 
 def read_input(path: str | Path, what: str, errors: str = "strict") -> str:
-    """The whole UTF-8 file; an unreadable or undecodable one is a ConfigError."""
+    """The whole UTF-8 file with its line ends as written; an unreadable
+    or undecodable one is a ConfigError."""
     try:
-        return Path(path).read_text(encoding="utf-8", errors=errors)
+        return Path(path).read_bytes().decode("utf-8", errors=errors)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from exc
 
@@ -106,23 +111,13 @@ def read_input(path: str | Path, what: str, errors: str = "strict") -> str:
 def parse_line(line: str) -> TraceLine:
     """Classify one log line. Never raises."""
     text = line.strip()
-    text = text[_PREFIX.match(text).end():]  # every part is optional, so it always matches
-    if not text:
+    m = _LINE.match(text)
+    if m is None:
         return TraceLine("garbage")
-    if text.startswith("+++") and text.endswith("+++"):
-        return TraceLine("exit")
-    if text.startswith("---") and text.endswith("---") and len(text) > 6:
-        return TraceLine("signal")
-    m = _RESUMED.match(text)
-    if m:
-        return TraceLine("resumed", m.group(1))
-    m = _CALL_HEAD.match(text)
-    if m:
-        rest = text[m.end():]
-        if "<unfinished" in rest:
-            return TraceLine("unfinished", m.group(1))
-        return TraceLine("call", m.group(1))
-    return TraceLine("garbage")
+    kind = m.lastgroup
+    if kind == "call" and "<unfinished" in text:  # neither prefix nor "name(" holds "<"
+        kind = "unfinished"
+    return TraceLine(kind, m["call"] or m["resumed"])
 
 
 def parse_log_detailed(
@@ -130,12 +125,23 @@ def parse_log_detailed(
 ) -> tuple[CallCountRecord, ParseSummary]:
     if label not in LABELS:
         raise ConfigError(f"label must be one of {LABELS}, got {label!r}")
-    counts: Counter[str] = Counter()
+    # parse_line inlined, without a TraceLine per line; defaultdict(int)
+    # counts about 3x faster than Counter.
+    counts: defaultdict[str, int] = defaultdict(int)
     kinds = {k: 0 for k in LINE_KINDS}
-    for t in map(parse_line, lines):
-        kinds[t.kind] += 1
-        if t.kind in ("call", "unfinished"):
-            counts[t.call_name] += 1
+    match = _LINE.match
+    for line in lines:
+        text = line.strip()
+        m = match(text)
+        if m is None:
+            kinds["garbage"] += 1
+            continue
+        kind = m.lastgroup
+        if kind == "call":
+            if "<unfinished" in text:
+                kind = "unfinished"
+            counts[m["call"]] += 1
+        kinds[kind] += 1
     record = CallCountRecord(
         sample_id=sample_id,
         label=label,

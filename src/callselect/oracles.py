@@ -3,14 +3,15 @@
 These deliberately take the slow, literal route: the positive region via
 pairwise comparison of every sample pair, the best reduct via full subset
 enumeration, roc_auc via explicit pair counting, the forest by growing
-each tree depth first, one node at a time, and term frequencies one count
-at a time. They exist so the production implementations can be verified
-against an independent formulation, and they refuse inputs large enough
-to make that painful.
+each tree depth first, one node at a time, term frequencies one count
+at a time, and each trace line one test at a time. They exist so the
+production implementations can be verified against an independent
+formulation, and they refuse inputs large enough to make that painful.
 """
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .featurize import DecisionTable
 from .forest import TreeEnsemble, _check_fit, _Draws, _gini, _mtry
-from .ingest import CallCountRecord
+from .ingest import CallCountRecord, TraceLine
 
 EXHAUSTIVE_ATTR_LIMIT = 15
 REFERENCE_FOREST_LIMIT = 20_000  # trees x rows
@@ -207,6 +208,39 @@ def reference_term_frequencies(
             if j is not None:
                 tf[i, j] = n / r.total_calls
     return vocab, df, tf
+
+
+# The pid column and timestamp, then the call head and the resumed head,
+# each matched on its own (ingest._LINE is these as one grammar).
+_REF_PREFIX = re.compile(
+    r"(?:(?:\[pid\s+\d+\]|\d+)\s+)?"
+    r"(?:(?:\d{1,2}:\d{2}:\d{2}(?:\.\d+)?|\d+\.\d+)\s+)?"
+)
+_REF_CALL_HEAD = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\(")
+_REF_RESUMED = re.compile(r"^<\.\.\. ([A-Za-z_][A-Za-z0-9_]*) resumed")
+
+
+def reference_parse_line(line: str) -> TraceLine:
+    """Classify one log line step by step: strip, skip the prefix, then
+    test exit, signal, resumed and call in turn."""
+    text = line.strip()
+    text = text[_REF_PREFIX.match(text).end():]  # every part is optional, so it always matches
+    if not text:
+        return TraceLine("garbage")
+    if text.startswith("+++") and text.endswith("+++"):
+        return TraceLine("exit")
+    if text.startswith("---") and text.endswith("---") and len(text) > 6:
+        return TraceLine("signal")
+    m = _REF_RESUMED.match(text)
+    if m:
+        return TraceLine("resumed", m.group(1))
+    m = _REF_CALL_HEAD.match(text)
+    if m:
+        rest = text[m.end():]
+        if "<unfinished" in rest:
+            return TraceLine("unfinished", m.group(1))
+        return TraceLine("call", m.group(1))
+    return TraceLine("garbage")
 
 
 def random_decision_table(

@@ -1,11 +1,14 @@
 """Trace parsing: line grammar, log counting, manifests, and totality."""
 
+import hashlib
 import json
+import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from callselect import (
@@ -17,8 +20,10 @@ from callselect import (
     parse_log_detailed,
     read_manifest,
     read_records_jsonl,
+    reference_parse_line,
     write_records_jsonl,
 )
+from callselect.cli import main
 from callselect.ingest import LINE_KINDS
 
 DATA = Path(__file__).parent / "data"
@@ -298,3 +303,133 @@ def test_counts_invariant_under_permutation(lines):
     rev = parse_log(list(reversed(lines)), sample_id="p", label="M")
     assert rec.counts == rev.counts
     assert rec.total_calls == sum(rec.counts.values())
+
+
+# ---- the one-grammar classifier against the step-by-step reference ----
+
+def _digits(min_size=1, max_size=4):
+    return st.text(st.sampled_from("0123456789\u0661\u0662"), min_size=min_size, max_size=max_size)
+
+
+def _prefix(sep):
+    """A pid column then a timestamp, each optional, each followed by sep."""
+    pid = st.just("") | st.builds("[pid{}{}]{}".format, sep, _digits(), sep) \
+        | st.builds("{}{}".format, _digits(), sep)
+    stamp = st.just("") \
+        | st.builds("{}:{}:{}{}{}".format, _digits(1, 2), _digits(2, 2), _digits(2, 2),
+                    st.sampled_from(["", ".5", ".123456"]), sep) \
+        | st.builds("{}.{}{}".format, _digits(), _digits(), sep)
+    return st.builds("{}{}".format, pid, stamp)
+
+
+_GAP = st.text(st.sampled_from(" \t\xa0\u2003"), max_size=2)
+_SEP = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003 "])
+_TEXT = st.text(st.sampled_from("az (),=<>.+-_\n\xa0\u0661"), max_size=6)
+_MARK = st.sampled_from(["", "<unfinished ...>", " <unfinished", "resumed>", "<... ", "+++", "---"])
+_FILL = st.builds("{}{}{}".format, _TEXT, _MARK, _TEXT)
+_NAME = st.builds("{}{}".format, st.sampled_from("arZ_"),
+                  st.text(st.sampled_from("az_Z09"), max_size=5))
+
+
+def _run(mark):
+    return st.integers(3, 7).map(lambda n: mark * n)
+
+
+# Well-formed heads, each maybe followed by look-alike text.
+_BODY = st.one_of(
+    st.builds("{}{}{}".format, _run("+"), st.just("") | _FILL, st.just("") | _run("+")),
+    st.builds("{}{}{}".format, _run("-"), st.just("") | _FILL, st.just("") | _run("-")),
+    st.builds("<... {} resumed{}".format, _NAME, _FILL),
+    st.builds("{}({}".format, _NAME, _FILL),
+    st.builds("{}({}<unfinished ...>{}".format, _NAME, _FILL, _GAP),
+)
+# Broken pieces: a separator missing or a "." with no fraction, a leading
+# digit, "(" or "[pid] " before the head, names that are not identifiers,
+# bare filler text.
+_BAD_NAME = st.text(st.sampled_from("a9\xe9_ "), max_size=3)
+_ROUGH_BODY = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "(", "12", "\u0661", "[pid] "]),
+    _BODY | _FILL | st.builds("<... {} resumed{}".format, _BAD_NAME, _FILL)
+    | st.builds("{}({}".format, _BAD_NAME, _FILL),
+)
+_TRACE_LINE = st.one_of(
+    st.builds("{}{}{}{}".format, _GAP, _prefix(_SEP), _BODY, _GAP),
+    st.builds("{}{}{}{}".format, _GAP, _prefix(_SEP | st.just("")),
+              _ROUGH_BODY | st.builds("{}.{}".format, _digits(), _BODY), _GAP),
+)
+
+
+@settings(max_examples=300)
+@given(_TRACE_LINE)
+def test_parse_line_matches_reference(line):
+    assert parse_line(line) == reference_parse_line(line)
+
+
+@settings(max_examples=100)
+@given(st.lists(_TRACE_LINE, max_size=20))
+def test_parse_log_detailed_matches_reference_tally(lines):
+    ref = [reference_parse_line(line) for line in lines]
+    counts = Counter(t.call_name for t in ref if t.kind in ("call", "unfinished"))
+    record, summary = parse_log_detailed(lines, sample_id="x", label="M")
+    assert list(record.counts.items()) == sorted(counts.items())
+    assert record.total_calls == sum(counts.values())
+    assert list(summary.by_kind.items()) == [
+        (kind, sum(t.kind == kind for t in ref)) for kind in LINE_KINDS
+    ]
+
+
+# ---- pinned ingest output ----
+
+_PREFIXES = ("", "1234  ", "[pid  77] ", "[pid 9] 10:00:01.5 ", "10:00:01 ",
+             "10:00:01.123456 ", "1697623201.123456 ", "42 1697623201.5 ")
+_BODIES = {
+    "call": (b'open("/data/f", O_RDONLY) = 3', b'read(3, "\\177ELF", 832) = 832',
+             b"close(3) = 0", b'write(1, "\xff\xfe\x00", 3) = 3', b"mmap(NULL, 4096) = 0x7f00"),
+    "unfinished": (b"read(5,  <unfinished ...>",
+                   b"futex(0x7f1, FUTEX_WAIT_PRIVATE, 0, NULL <unfinished ...>"),
+    "resumed": (b'<... read resumed> "x", 1) = 1', b"<... futex resumed> ) = 0"),
+    "signal": (b"--- SIGCHLD {si_signo=SIGCHLD} ---", b"--- SIGSEGV {si_addr=0} ---"),
+    "exit": (b"+++ exited with 0 +++", b"+++ killed by SIGKILL +++", b"+++"),
+    "garbage": (b"", b"   ", b"strace: Process 1236 attached", b"(3) = 0", b"12ab close(3)",
+                b"op\xffen(3) = 0", b"\xc3\x28 junk <unfinished ...>", b"------"),
+}
+_LINE_ENDS = (b"\n", b"\r\n", b"\r", "\u2028".encode(), "\x85".encode(), b"\x0c")
+
+
+def _write_strace_corpus(root: Path, seed: int) -> None:
+    """Seeded strace logs mixing every line kind, prefix and line end, plus a manifest."""
+    rng = random.Random(seed)
+    rows = ["path,label,sample_id"]
+    for i in range(6):
+        chunks = []
+        for _ in range(rng.randrange(20, 60)):
+            body = rng.choice(_BODIES[rng.choice(LINE_KINDS)])
+            chunks.append(rng.choice(_PREFIXES).encode() + body + rng.choice(_LINE_ENDS))
+        (root / f"s{i}.log").write_bytes(b"".join(chunks))
+        rows.append(f"s{i}.log,{'MB'[i % 2]},sample-{i}")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+
+
+# SHA-256 of ingest's records.jsonl and summary.json on the seeded corpus
+# above, recorded from the step-by-step classifier and the universal-newline
+# file reader.
+_PINNED_INGEST = {
+    1: {
+        "records.jsonl": "1b28756e222cc73b5709701669ffdf8788a4cff5fdca6a75ab901f2507b95c27",
+        "summary.json": "fb60105e9842cf28ce0f4555260487d20eb5067306c6146fe8684c5ecfde3091",
+    },
+    2: {
+        "records.jsonl": "ef46642985645c6c9931df72b5e6d54bf6d45665595a977cebe18f80121c5c4c",
+        "summary.json": "d455142317f2f8ca712688d4274b089ab09ff475606c9682589eb8970310e5fe",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_INGEST))
+def test_ingest_outputs_pinned(tmp_path, monkeypatch, seed):
+    _write_strace_corpus(tmp_path, seed)
+    monkeypatch.chdir(tmp_path)  # summary.json names logs by the manifest's relative paths
+    assert main(["ingest", "--manifest", "manifest.csv", "--out-dir", "out"]) == 0
+    for name, digest in _PINNED_INGEST[seed].items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
