@@ -26,56 +26,58 @@ class RankedFeature:
     method: str
 
 
-def entropy_bits(counts: Sequence[int] | np.ndarray) -> float:
+def entropy_bits(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row along the last axis; an all-zero row is 0."""
     arr = np.asarray(counts, dtype=np.float64)
-    total = arr.sum()
-    if total <= 0:
-        return 0.0
-    p = arr[arr > 0] / total
-    return float(-(p * np.log2(p)).sum())
+    total = arr.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = arr / total
+        h = -np.where(arr > 0, p * np.log2(p), 0.0).sum(axis=-1)
+    return np.where(total[..., 0] > 0, h, 0.0)
 
 
-def information_gain(table: DecisionTable, call: str) -> float:
-    """H(labels) - H(labels | bins of call), in bits."""
-    bins = table.column(call)
-    y = table.y
-    n = len(y)
+def _information(table: DecisionTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every call's IG and H(bins), and H(labels), from one (call, bin,
+    label) bincount keyed (j*5 + bin)*2 + y."""
+    n, k = table.bins.shape
     if n == 0:
         raise ConfigError("cannot score an empty table")
-    h_labels = entropy_bits(np.bincount(y, minlength=2))
-    h_cond = 0.0
-    for b in np.unique(bins):
-        mask = bins == b
-        weight = mask.sum() / n
-        h_cond += weight * entropy_bits(np.bincount(y[mask], minlength=2))
-    return h_labels - h_cond
+    keys = (np.arange(k) * 5 + table.bins) * 2 + table.y[:, None]
+    counts = np.bincount(keys.ravel(), minlength=k * 10).reshape(k, 5, 2)
+    per_bin = counts.sum(axis=2)
+    weight, h_bin = per_bin / n, entropy_bits(counts)
+    h_labels = entropy_bits(np.bincount(table.y, minlength=2))
+    h_cond = 0.0  # bins 1..4 in order; an absent bin adds an exact 0.0
+    for b in range(1, 5):
+        h_cond = h_cond + weight[:, b] * h_bin[:, b]
+    return h_labels - h_cond, entropy_bits(per_bin), h_labels
 
 
-def chi_square(fvt: FeatureVectorTable, call: str) -> float:
-    """2x2 presence/absence chi-square statistic; zero marginals score 0."""
-    present = fvt.column(call) > 0
-    y = fvt.y
-    a = int(np.sum(present & (y == 1)))  # malware containing the call
-    b = int(np.sum(present & (y == 0)))  # benign containing the call
-    c = int(np.sum(~present & (y == 1)))
-    d = int(np.sum(~present & (y == 0)))
-    n = a + b + c + d
-    denom = (a + c) * (b + d) * (a + b) * (c + d)
-    if denom == 0:
-        return 0.0
-    return n * (a * d - c * b) ** 2 / denom
+def information_gain(table: DecisionTable) -> list[float]:
+    """H(labels) - H(labels | bins of call) in bits, per call in table order."""
+    return _information(table)[0].tolist()
 
 
-def symmetric_uncertainty(table: DecisionTable, call: str) -> float:
-    """2*IG / (H(bins) + H(labels)); 0 when both entropies vanish."""
-    bins = table.column(call)
-    y = table.y
-    h_bins = entropy_bits(np.bincount(bins, minlength=5))
-    h_labels = entropy_bits(np.bincount(y, minlength=2))
+def chi_square(fvt: FeatureVectorTable) -> list[float]:
+    """2x2 presence/absence chi-square per call; zero marginals score 0.
+
+    The statistic stays in Python ints: N*(AD-CB)^2 overflows int64."""
+    present, is_m = fvt.weights > 0, fvt.y == 1
+    n, n_m = len(is_m), int(is_m.sum())
+    scores = []
+    for a, b in zip(present[is_m].sum(axis=0).tolist(), present[~is_m].sum(axis=0).tolist()):
+        c, d = n_m - a, n - n_m - b  # a, b: malware and benign containing the call
+        denom = n_m * (n - n_m) * (a + b) * (c + d)
+        scores.append(n * (a * d - c * b) ** 2 / denom if denom else 0.0)
+    return scores
+
+
+def symmetric_uncertainty(table: DecisionTable) -> list[float]:
+    """2*IG / (H(bins) + H(labels)) per call; 0 when both entropies vanish."""
+    ig, h_bins, h_labels = _information(table)
     denom = h_bins + h_labels
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * information_gain(table, call) / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, 2.0 * ig / denom).tolist()
 
 
 def rank(fvt: FeatureVectorTable, method: str, k: int | None = None) -> list[RankedFeature]:
@@ -88,16 +90,9 @@ def rank(fvt: FeatureVectorTable, method: str, k: int | None = None) -> list[Ran
         raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
     if k is not None and k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    table = discretize(fvt) if name in ("IG", "SU") else None
-    scored: list[RankedFeature] = []
-    for call in fvt.calls:
-        if name == "IG":
-            score = information_gain(table, call)
-        elif name == "SU":
-            score = symmetric_uncertainty(table, call)
-        else:
-            score = chi_square(fvt, call)
-        scored.append(RankedFeature(call=call, score=float(score), method=name))
+    scorer = {"IG": information_gain, "SU": symmetric_uncertainty}.get(name)
+    scores = scorer(discretize(fvt)) if scorer else chi_square(fvt)
+    scored = [RankedFeature(call=c, score=s, method=name) for c, s in zip(fvt.calls, scores)]
     scored.sort(key=lambda f: (-f.score, f.call))
     if k is None or k >= len(scored):
         return scored

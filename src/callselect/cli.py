@@ -141,12 +141,12 @@ def _cmd_select(args) -> int:
     else:
         records = read_records_jsonl(args.records)
         fvt = build_fvt(records, min_df=args.min_df)
-        # ig and su bin inside baselines.rank; chi needs no bins.
+        # ig and su bin inside baselines.rank; chi needs no bins; only rsst has z.
         table = discretize(fvt) if args.method in ("rsst", "roughset") else None
         z_table = (
-            fvt
-            if args.z_weights == "tfidf"
-            else relative_frequency_table(records, min_df=args.min_df)
+            relative_frequency_table(records, min_df=args.min_df)
+            if args.method == "rsst" and args.z_weights == "relfreq"
+            else fvt
         )
 
     report: dict = {"config": config, "method": args.method}

@@ -9,6 +9,7 @@ an interrupted call is counted exactly once.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from collections import defaultdict
@@ -182,7 +183,8 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     resolved against the manifest's directory.
     """
     manifest_path = Path(path)
-    reader = csv.DictReader(read_input(path, "manifest").splitlines())
+    # csv splits the lines, so a quoted path may hold U+2028, U+0085, ...
+    reader = csv.DictReader(io.StringIO(read_input(path, "manifest"), newline=""))
     expected = ["path", "label", "sample_id"]
     if reader.fieldnames != expected:
         raise ConfigError(
@@ -228,7 +230,8 @@ def read_records_jsonl(path: str | Path) -> list[CallCountRecord]:
     total an integer: a count of 1.5, "3" or true is an error, not 1 or 3.
     """
     records: list[CallCountRecord] = []
-    for lineno, line in enumerate(read_input(path, "record file").splitlines(), start=1):
+    # Split at "\n" only (JSON skips a "\r"): strings may hold U+2028 etc.
+    for lineno, line in enumerate(read_input(path, "record file").split("\n"), start=1):
         if not line.strip():
             continue
         try:

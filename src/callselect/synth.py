@@ -84,6 +84,8 @@ def default_spec(
     seed: int = 42,
 ) -> SynthSpec:
     """Convenience constructor naming planted calls off the vocabulary head."""
+    if min(planted_malware, planted_benign) < 0:
+        raise ConfigError(f"planted counts must be >= 0, got {planted_malware=}, {planted_benign=}")
     if planted_malware + planted_benign > vocabulary_size:
         raise ConfigError("more planted calls than vocabulary entries")
     names = [f"c{i:03d}" for i in range(vocabulary_size)]

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 from .featurize import FeatureVectorTable
@@ -67,24 +69,21 @@ class StatFilterResult:
         }
 
 
-def class_stats(fvt: FeatureVectorTable, call: str) -> ClassStats:
-    column = fvt.column(call)
-    m_vals = column[fvt.y == 1]
-    b_vals = column[fvt.y == 0]
-    for name, vals in (("M", m_vals), ("B", b_vals)):
-        if vals.size < 2:
+def class_stats(fvt: FeatureVectorTable, calls: Sequence[str]) -> list[ClassStats]:
+    """ClassStats per call, in order. Each class's columns are copied
+    transposed and contiguous, so each row reduces as the 1-D column would."""
+    cols = [fvt.column_index(c) for c in calls]
+    per_class = []
+    for name, code in (("M", 1), ("B", 0)):
+        vals = np.ascontiguousarray(fvt.weights[np.ix_(fvt.y == code, cols)].T)
+        size = vals.shape[1]
+        if cols and size < 2:
             raise ConfigError(
-                f"class {name} has {vals.size} samples; need at least 2 for a z test"
+                f"class {name} has {size} samples; need at least 2 for a z test"
             )
-    return ClassStats(
-        call=call,
-        mean_m=float(m_vals.mean()),
-        mean_b=float(b_vals.mean()),
-        var_m=float(m_vals.var()),
-        var_b=float(b_vals.var()),
-        n_m=int(m_vals.size),
-        n_b=int(b_vals.size),
-    )
+        per_class.append((vals.mean(axis=1).tolist(), vals.var(axis=1).tolist(), size))
+    (mean_m, var_m, n_m), (mean_b, var_b, n_b) = per_class
+    return [ClassStats(*row, n_m, n_b) for row in zip(calls, mean_m, mean_b, var_m, var_b)]
 
 
 def z_score(stats: ClassStats, sigma_as_stddev: bool = False) -> float:
@@ -129,15 +128,14 @@ def filter_calls(
         if name not in known:
             raise ConfigError(f"candidate {name!r} is not in the feature table")
     verdicts = []
-    for name in names:
-        stats = class_stats(fvt, name)  # too few samples per class still raises
+    for stats in class_stats(fvt, names):  # too few samples per class still raises
         try:
             z = z_score(stats, sigma_as_stddev)
         except ConfigError:  # zero pooled standard error
             z = None
         reject = z is not None and abs(z) > crit
         dominant = ("M" if z > 0 else "B") if reject else "none"
-        verdicts.append(ZVerdict(call=name, z=z, rejected_null=reject, dominant=dominant))
+        verdicts.append(ZVerdict(call=stats.call, z=z, rejected_null=reject, dominant=dominant))
     malware = sorted(
         (v for v in verdicts if v.rejected_null and v.dominant == "M"),
         key=lambda v: (-v.z, v.call),

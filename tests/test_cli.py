@@ -81,6 +81,56 @@ def test_ingest_manifest_field_count_exits_2(capsys, tmp_path, row):
     assert not (out_dir / "records.jsonl").exists()
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\x85"], ids=["U+2028", "NEL"])
+def test_ingest_manifest_path_holds_a_line_separator(capsys, tmp_path, sep):
+    # str.splitlines() would cut the quoted path at sep
+    (tmp_path / f"a{sep}b.log").write_text("close(3) = 0\n", encoding="utf-8")
+    (tmp_path / "c.log").write_text("read(0) = 0\n")
+    man = tmp_path / "manifest.csv"
+    man.write_text(f'path,label,sample_id\n"a{sep}b.log",M,s1\nc.log,B,s2\n', encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "ingest", "--manifest", str(man), "--out-dir", str(out_dir))
+    assert code == 0, err
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert summary["files"][0]["path"] == str(tmp_path / f"a{sep}b.log")
+    assert summary["totals"]["call"] == 2
+
+
+def test_records_strings_hold_line_separators(capsys, tmp_path):
+    # JSON strings may hold these raw; only "\n" (after an optional "\r") ends a line
+    rows = [
+        {"sample_id": "m\u2028one", "label": "M", "counts": {"open\u2028at": 2, "read": 1}},
+        {"sample_id": "m\u2029two", "label": "M", "counts": {"open\u2028at": 1}},
+        {"sample_id": "b\x85one", "label": "B", "counts": {"read": 3, "wr\x85ite": 1}},
+        {"sample_id": "b\x85two", "label": "B", "counts": {"wr\x85ite": 2}},
+    ]
+    text = "".join(json.dumps({**r, "total": sum(r["counts"].values())}, ensure_ascii=False)
+                   + "\n" for r in rows)
+    tables = []
+    for name, content in (("lf", text), ("crlf", text.replace("\n", "\r\n"))):
+        records = tmp_path / f"{name}.jsonl"
+        records.write_bytes(content.encode("utf-8"))
+        assert [r.sample_id for r in callselect.read_records_jsonl(records)] == [
+            r["sample_id"] for r in rows]
+        out_dir = tmp_path / name
+        code, out, err = _run(capsys, "featurize", "--records", str(records),
+                              "--out-dir", str(out_dir))
+        assert code == 0, err
+        tables.append((out_dir / "fvt.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert "open\u2028at" in tables[0].decode("utf-8")
+
+
+@pytest.mark.parametrize("option", ["--planted-malware", "--planted-benign"])
+def test_synth_rejects_negative_planted_counts(capsys, tmp_path, option):
+    code, out, err = _run(capsys, "synth", option, "-1", "--out-dir", str(tmp_path))
+    assert code == 2
+    obj = json.loads(err)
+    assert obj["error"] == "ConfigError"
+    assert f"{option[2:].replace('-', '_')}=-1" in obj["message"]
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_featurize_outputs_both_tables(capsys, corpus, tmp_path):
     root, man = corpus
     out_dir = tmp_path / "out"

@@ -33,7 +33,7 @@ def _fvt(weights, labels, calls=None):
 
 def test_class_stats_worked_example():
     fvt = _fvt([[0.2], [0.4], [0.1], [0.3]], ["M", "M", "B", "B"], calls=("open",))
-    st_ = class_stats(fvt, "open")
+    st_ = class_stats(fvt, ["open"])[0]
     assert st_.mean_m == pytest.approx(0.3, abs=1e-15)
     assert st_.mean_b == pytest.approx(0.2, abs=1e-15)
     # population variance, not the n-1 sample form
@@ -45,7 +45,7 @@ def test_class_stats_worked_example():
 def test_class_stats_needs_two_per_class():
     fvt = _fvt([[0.2], [0.1], [0.3]], ["M", "B", "B"])
     with pytest.raises(ConfigError, match="M"):
-        class_stats(fvt, "c0")
+        class_stats(fvt, ["c0"])
 
 
 def test_z_worked_example():
@@ -126,7 +126,7 @@ def test_filter_boundary_is_strict():
         1.0,
     )
     fvt = _fvt(w, ["M"] * 50 + ["B"] * 50)
-    z = z_score(class_stats(fvt, "c0"))
+    z = z_score(class_stats(fvt, ["c0"])[0])
     # pin the threshold exactly at |z|: strict comparison must reject
     at = filter_calls(fvt, ["c0"], z_crit=abs(z))
     assert [v.call for v in at.rejected] == ["c0"]
@@ -207,8 +207,8 @@ def test_z_antisymmetric_under_label_swap():
     w = np.clip(rng.normal(0.5, 0.15, size=(40, 1)), 0.0, 1.0)
     labels = ["M"] * 20 + ["B"] * 20
     swapped = ["B" if y == "M" else "M" for y in labels]
-    z1 = z_score(class_stats(_fvt(w, labels), "c0"))
-    z2 = z_score(class_stats(_fvt(w, swapped), "c0"))
+    z1 = z_score(class_stats(_fvt(w, labels), ["c0"])[0])
+    z2 = z_score(class_stats(_fvt(w, swapped), ["c0"])[0])
     assert z1 == -z2  # exact, not approximate
 
 
@@ -220,8 +220,8 @@ def test_z_invariant_under_positive_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0, size=(30, 1))
     labels = ["M"] * 15 + ["B"] * 15
-    base = class_stats(_fvt(w, labels), "c0")
-    scaled = class_stats(_fvt(w * scale, labels), "c0")
+    base = class_stats(_fvt(w, labels), ["c0"])[0]
+    scaled = class_stats(_fvt(w * scale, labels), ["c0"])[0]
     try:
         z0 = z_score(base)
     except ConfigError:
@@ -235,8 +235,8 @@ def test_z_invariant_under_shift(seed):
     w = rng.normal(0.0, 1.0, size=(24, 1))
     labels = ["M"] * 12 + ["B"] * 12
     try:
-        z0 = z_score(class_stats(_fvt(w, labels), "c0"))
+        z0 = z_score(class_stats(_fvt(w, labels), ["c0"])[0])
     except ConfigError:
         return
-    z1 = z_score(class_stats(_fvt(w + 5.0, labels), "c0"))
+    z1 = z_score(class_stats(_fvt(w + 5.0, labels), ["c0"])[0])
     assert z1 == pytest.approx(z0, rel=1e-9)
