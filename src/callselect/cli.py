@@ -293,6 +293,11 @@ def _cmd_oracle_check(args) -> int:
                                "exhaustive": best.best_significance})
         if abs(significance(table, greedy.calls) - best.best_significance) > 1e-12:
             mismatches.append({"kind": "reduct_calls", "calls": list(greedy.calls)})
+        added = [s.call for s in greedy.steps]
+        for i, step in enumerate(greedy.steps):
+            if step.significance != significance(table, added[: i + 1]):
+                mismatches.append({"kind": "reduct_step", "calls": added[: i + 1],
+                                   "significance": step.significance})
     print(
         json.dumps(
             {

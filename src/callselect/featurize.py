@@ -25,9 +25,6 @@ from .ingest import CallCountRecord, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
 
-# Right-closed bin edges: B1=[0,.25], B2=(.25,.5], B3=(.5,.75], B4=(.75,1].
-_BIN_EDGES = np.array([0.25, 0.5, 0.75])
-
 # Bin k's CSV cell with its trailing comma, at index k.
 _BIN_CELLS = ("", *(f"{b}," for b in BIN_LABELS))
 
@@ -263,11 +260,14 @@ def relative_frequency_table(
 
 
 def discretize(fvt: FeatureVectorTable) -> DecisionTable:
-    """Map weights onto the four bins. Weights outside [0, 1] are a bug upstream."""
+    """Map weights onto the four right-closed bins B1=[0,.25], B2=(.25,.5],
+    B3=(.5,.75], B4=(.75,1]. Weights outside [0, 1], NaN included, are a bug
+    upstream."""
     w = fvt.weights
-    if w.size and (w.min() < 0.0 or w.max() > 1.0):
+    if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
         raise InvariantError("feature weights must lie in [0, 1] before discretization")
-    bins = (np.digitize(w, _BIN_EDGES, right=True) + 1).astype(np.int8)
+    # A bin is 1 plus the number of edges the weight lies above.
+    bins = (w > .25).view(np.int8) + (w > .5).view(np.int8) + (w > .75).view(np.int8) + 1
     return DecisionTable(
         sample_ids=fvt.sample_ids,
         calls=fvt.calls,

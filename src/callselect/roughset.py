@@ -16,6 +16,17 @@ one sums the 0/1 label codes, and a block is pure when its sum is 0 or
 its size. Only partition turns the ids into blocks of row indices, a
 plain tuple of tuples for display and tests; the reduct never builds
 them.
+
+The reduct scores a candidate on its raw keys (id * 5 + bin; the purity
+count needs no renumbering) and renumbers only each round's winner. It
+also works on a shrinking set of rows, the positive approximation of
+Qian, Liang, Pedrycz & Dang ("Positive approximation: an accelerator for
+attribute reduction in rough set theory", Artificial Intelligence 174,
+2010): a row in a label-pure block stays in one under any finer
+partition, so once in the positive region it leaves the working set, and
+a candidate scores the rows already gone plus the pure rows among those
+left. The same shrinking set serves the positive region of all
+attributes, the reduct's target.
 """
 from __future__ import annotations
 
@@ -111,6 +122,25 @@ def significance(table: DecisionTable, attrs: Iterable[str]) -> float:
     return _pos_size(_block_ids(table, attrs), table.y) / table.n_samples
 
 
+def _impure_rows(ids: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the rows outside label-pure blocks."""
+    pure, _ = _pure_blocks(ids, y)
+    return ~pure[ids]
+
+
+def _full_pos_size(cols: np.ndarray, y: np.ndarray) -> int:
+    """Positive region size under every attribute (one row of cols each)."""
+    rows = np.arange(y.size)
+    ids = np.zeros(y.size, dtype=np.int64)
+    for col in cols:
+        if not rows.size:
+            break
+        ids = _refine(ids, col[rows])
+        stay = _impure_rows(ids, y[rows])
+        rows, ids = rows[stay], ids[stay]
+    return y.size - rows.size
+
+
 def generate_reduct(table: DecisionTable) -> Reduct:
     """Greedy forward selection with one backward minimality pass.
 
@@ -130,26 +160,33 @@ def generate_reduct(table: DecisionTable) -> Reduct:
 
     y = table.y
     n = table.n_samples
-    target = _pos_size(_block_ids(table, table.calls), y)
+    # The working set holds the rows not yet in the positive region: their
+    # block ids, label codes and bins (one contiguous row per call).
+    cols = np.ascontiguousarray(table.bins.T)
+    target = _full_pos_size(cols, y)
 
     chosen: list[str] = []
     steps: list[ReductStep] = []
     remaining = sorted(table.calls)
-    ids = np.zeros(n, dtype=np.int64)
-    current = _pos_size(ids, y)
+    ids, y_left = np.zeros(n, dtype=np.int64), y
+    current = 0  # rows in the positive region, all gone from the working set
     while remaining:
-        best_name, best_size, best_ids = None, -1, None
+        # Raw keys id * 5 + bin: purity counts need no renumbering.
+        keys = ids * 5
+        best_name, best_size = None, -1
         for name in remaining:
-            cand = _refine(ids, table.column(name))
-            size = _pos_size(cand, y)
+            size = _pos_size(keys + cols[table.column_index(name)], y_left)
             if size > best_size:
-                best_name, best_size, best_ids = name, size, cand
+                best_name, best_size = name, size
         chosen.append(best_name)
         remaining.remove(best_name)
-        ids, current = best_ids, best_size
-        steps.append(ReductStep(call=best_name, significance=best_size / n))
+        current += best_size
+        steps.append(ReductStep(call=best_name, significance=current / n))
         if current >= target:
             break
+        ids = _refine(ids, cols[table.column_index(best_name)])
+        stay = _impure_rows(ids, y_left)
+        ids, y_left, cols = ids[stay], y_left[stay], cols[:, stay]
 
     kept = list(chosen)
     removed: list[str] = []

@@ -1,5 +1,6 @@
 """Command line round trips, each subcommand exercised end to end in process."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -434,6 +435,24 @@ def test_oracle_check_passes(capsys):
     assert result["mismatches"] == []
     assert result["positive_region_checks"] == 20
     assert result["reduct_checks"] == 3
+
+
+def test_oracle_check_reports_a_wrong_step(capsys, monkeypatch):
+    # A reduct whose final answer is right but whose first step misreports
+    # its significance is caught only by the per-step comparison.
+    def first_step_off(table):
+        r = callselect.generate_reduct(table)
+        if len(r.steps) < 2:
+            return r
+        first = dataclasses.replace(r.steps[0], significance=r.steps[0].significance + 0.5)
+        return dataclasses.replace(r, steps=(first, *r.steps[1:]))
+
+    monkeypatch.setattr("callselect.cli.generate_reduct", first_step_off)
+    code, out, err = _run(
+        capsys, "oracle-check", "--tables", "1", "--subsets", "1", "--reduct-tables", "10"
+    )
+    kinds = {m["kind"] for m in json.loads(out)["mismatches"]}
+    assert code == 1 and kinds == {"reduct_step"}
 
 
 def test_unknown_method_is_usage_error(capsys, tmp_path):

@@ -134,6 +134,38 @@ def test_discretize_rejects_out_of_range():
         discretize(fvt)
 
 
+def _fvt_of_column(w):
+    n = len(w)
+    return FeatureVectorTable(
+        sample_ids=tuple(f"s{i}" for i in range(n)),
+        calls=("c",),
+        weights=np.asarray(w, dtype=np.float64).reshape(n, 1),
+        labels=tuple("MB"[i % 2] for i in range(n)),
+    )
+
+
+def test_discretize_matches_digitize_at_every_edge():
+    # The edges themselves, the adjacent doubles on each side of them, the
+    # ends of [0, 1] and random weights: all binned as np.digitize bins them.
+    edges = np.array([0.25, 0.5, 0.75])
+    near = [0.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), 1.0]
+    for e in edges:
+        near += [np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)]
+    w = np.concatenate([near, np.random.default_rng(5).random(500)])
+    bins = discretize(_fvt_of_column(w)).bins
+    assert bins.dtype == np.int8
+    want = (np.digitize(w, edges, right=True) + 1).astype(np.int8)
+    np.testing.assert_array_equal(bins[:, 0], want)
+
+
+def test_discretize_rejects_nan_weights():
+    # NaN compares false with everything, so a plain range test lets it
+    # through; binning would then place it silently.
+    for w in ([np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+        with pytest.raises(InvariantError):
+            discretize(_fvt_of_column(w))
+
+
 def test_fvt_csv_roundtrip(tmp_path, tiny_corpus):
     fvt = build_fvt(tiny_corpus)
     p = tmp_path / "fvt.csv"
