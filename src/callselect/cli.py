@@ -105,14 +105,49 @@ def _cmd_featurize(args) -> int:
 
 
 def _surrogate_fvt(table) -> FeatureVectorTable:
-    # Bin midpoints re-discretize to the same bins, so a pre-binned fixture
-    # can still drive the z stage.
+    # Bin midpoints re-discretize to the same bins, so a pre-binned table
+    # takes the same path as records, z stage included.
     return FeatureVectorTable(
         sample_ids=table.sample_ids,
         calls=table.calls,
         weights=table.bins.astype(np.float64) * 0.25 - 0.125,
         labels=table.labels,
     )
+
+
+def select_report(
+    fvt: FeatureVectorTable, config: dict, z_table: FeatureVectorTable | None = None
+) -> dict:
+    """The selection report of config["method"] on fvt. Reads the config keys
+    method, top_k, z_candidates, alpha, z_crit and sigma_as_stddev; rsst
+    runs its z stage on z_table (relative frequencies) when one is given."""
+    method = config["method"]
+    report: dict = {"config": config, "method": method}
+    if method not in ("rsst", "roughset"):
+        ranked = baselines.rank(fvt, method, k=config["top_k"])
+        report["ranking_table"] = [{"call": f.call, "score": f.score} for f in ranked]
+        report["ranking"] = [f.call for f in ranked]
+        report["ranking_order"] = "score_desc"
+        return report
+    reduct = generate_reduct(discretize(fvt))
+    report["reduct"] = reduct.to_json_dict()
+    if method == "roughset":
+        report["ranking"] = list(reduct.calls)
+        report["ranking_order"] = "significance_step_order"
+        return report
+    if z_table is None:
+        z_table = fvt
+    result = ztest.filter_calls(
+        z_table,
+        reduct.calls if config["z_candidates"] == "reduct" else z_table.calls,
+        alpha=config["alpha"],
+        z_crit=config["z_crit"],
+        sigma_as_stddev=config["sigma_as_stddev"],
+    )
+    report["z_filter"] = result.to_json_dict()
+    report["ranking"] = ztest.eval_ranking(result)
+    report["ranking_order"] = "abs_z_desc_then_rejected"
+    return report
 
 
 def _cmd_select(args) -> int:
@@ -130,56 +165,19 @@ def _cmd_select(args) -> int:
         "min_df": args.min_df,
         "top_k": args.top_k,
     }
+    z_table = None
     if args.decision_table:
-        table = read_decision_table_csv(args.decision_table)
-        fvt = _surrogate_fvt(table)
+        fvt = _surrogate_fvt(read_decision_table_csv(args.decision_table))
         if args.z_weights != "tfidf":
-            raise ConfigError(
-                "relative frequencies are unavailable for a pre-binned table"
-            )
-        z_table = fvt
+            raise ConfigError("relative frequencies are unavailable for a pre-binned table")
     else:
         records = read_records_jsonl(args.records)
         fvt = build_fvt(records, min_df=args.min_df)
-        # ig and su bin inside baselines.rank; chi needs no bins; only rsst has z.
-        table = discretize(fvt) if args.method in ("rsst", "roughset") else None
-        z_table = (
-            relative_frequency_table(records, min_df=args.min_df)
-            if args.method == "rsst" and args.z_weights == "relfreq"
-            else fvt
-        )
-
-    report: dict = {"config": config, "method": args.method}
-    if args.method in ("rsst", "roughset"):
-        reduct = generate_reduct(table)
-        report["reduct"] = reduct.to_json_dict()
-        if args.method == "rsst":
-            candidates = (
-                reduct.calls if args.z_candidates == "reduct" else z_table.calls
-            )
-            result = ztest.filter_calls(
-                z_table,
-                candidates,
-                alpha=args.alpha,
-                z_crit=args.z_crit,
-                sigma_as_stddev=args.sigma_as_stddev,
-            )
-            report["z_filter"] = result.to_json_dict()
-            report["ranking"] = ztest.eval_ranking(result)
-            report["ranking_order"] = "abs_z_desc_then_rejected"
-        else:
-            report["ranking"] = list(reduct.calls)
-            report["ranking_order"] = "significance_step_order"
-    else:
-        ranked = baselines.rank(fvt, args.method, k=args.top_k)
-        report["ranking_table"] = [
-            {"call": f.call, "score": f.score} for f in ranked
-        ]
-        report["ranking"] = [f.call for f in ranked]
-        report["ranking_order"] = "score_desc"
+        if args.z_weights == "relfreq":  # only rsst reads it
+            z_table = relative_frequency_table(records, min_df=args.min_df)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _dump_json(report, out)
+    _dump_json(select_report(fvt, config, z_table), out)
     return _written(out)
 
 

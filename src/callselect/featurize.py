@@ -42,8 +42,8 @@ def label_codes(labels: Sequence[str]) -> np.ndarray:
 
 
 class _Table:
-    """What both tables share, checked when the table is built: ids and
-    labels aligned with the matrix rows, distinct calls aligned with its
+    """What both tables share, checked when the table is built: distinct ids
+    and labels aligned with the matrix rows, distinct calls aligned with its
     columns, the 0/1 label codes ``y`` and the name-to-column lookup."""
 
     sample_ids: tuple[str, ...]
@@ -66,6 +66,9 @@ class _Table:
         if len(index) != len(self.calls):
             dup = next(c for j, c in enumerate(self.calls) if index[c] != j)
             raise ConfigError(f"duplicate call: {dup!r}")
+        if len(set(self.sample_ids)) != len(self.sample_ids):
+            dup = next(s for s, n in Counter(self.sample_ids).items() if n > 1)
+            raise ConfigError(f"duplicate sample_id: {dup!r}")
         object.__setattr__(self, "y", label_codes(self.labels))
         object.__setattr__(self, "_index", index)
 
@@ -183,9 +186,6 @@ def _check_corpus(records: Sequence[CallCountRecord]) -> None:
     labels = {r.label for r in records}
     if labels != {"M", "B"}:
         raise ConfigError("corpus must contain both labels M and B")
-    ids = [r.sample_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate sample_id in corpus")
 
 
 def _term_frequencies(

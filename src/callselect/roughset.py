@@ -26,7 +26,8 @@ attribute reduction in rough set theory", Artificial Intelligence 174,
 partition, so once in the positive region it leaves the working set, and
 a candidate scores the rows already gone plus the pure rows among those
 left. The same shrinking set serves the positive region of all
-attributes, the reduct's target.
+attributes, the reduct's target, and of each trial subset of the
+backward pass.
 """
 from __future__ import annotations
 
@@ -162,7 +163,7 @@ def generate_reduct(table: DecisionTable) -> Reduct:
     n = table.n_samples
     # The working set holds the rows not yet in the positive region: their
     # block ids, label codes and bins (one contiguous row per call).
-    cols = np.ascontiguousarray(table.bins.T)
+    cols = all_cols = np.ascontiguousarray(table.bins.T)
     target = _full_pos_size(cols, y)
 
     chosen: list[str] = []
@@ -192,7 +193,7 @@ def generate_reduct(table: DecisionTable) -> Reduct:
     removed: list[str] = []
     for name in reversed(chosen):
         trial = [c for c in kept if c != name]
-        if _pos_size(_block_ids(table, trial), y) == current:
+        if _full_pos_size(all_cols[[table.column_index(c) for c in trial]], y) == current:
             kept = trial
             removed.append(name)
 

@@ -9,6 +9,7 @@ so presence as well as magnitude carries the signal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -36,10 +37,11 @@ class SynthSpec:
             raise ConfigError("samples_per_class must be >= 1")
         if self.vocabulary_size < 1:
             raise ConfigError("vocabulary_size must be >= 1")
-        if self.effect_size < 0:
-            raise ConfigError("effect_size must be >= 0")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        # NaN fails both comparisons; inf would draw counts no table accepts.
+        if not 0 <= self.effect_size < math.inf:
+            raise ConfigError(f"effect_size must be finite and >= 0, got {self.effect_size}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         vocab = set(vocabulary(self))
         mal = set(self.planted_malware_calls)
         ben = set(self.planted_benign_calls)

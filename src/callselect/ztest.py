@@ -101,13 +101,14 @@ def z_score(stats: ClassStats, sigma_as_stddev: bool = False) -> float:
 
 
 def critical_value(alpha: float = DEFAULT_ALPHA, z_crit: float | None = None) -> float:
-    """Explicit z_crit wins; the default alpha keeps the conventional 1.96."""
-    if z_crit is not None:
-        if z_crit <= 0:
-            raise ConfigError(f"z_crit must be positive, got {z_crit}")
-        return z_crit
+    """Explicit z_crit wins; the default alpha keeps the conventional 1.96.
+    alpha is checked either way, and neither may be NaN or infinite."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if z_crit is not None:
+        if not 0.0 < z_crit < math.inf:
+            raise ConfigError(f"z_crit must be finite and positive, got {z_crit}")
+        return z_crit
     if alpha == DEFAULT_ALPHA:
         return DEFAULT_Z_CRIT
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)

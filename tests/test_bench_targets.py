@@ -53,3 +53,55 @@ def test_span_counts_read_real_results(tmp_path, golden_table):
         "roughset.generate_reduct": {"candidates": 5},
         "forest.train": {"trees": 3},
     }
+
+
+def test_cli_operations_record_their_span_names(tmp_path, monkeypatch, capsys):
+    # Each operation must keep reaching its layers through the attributes
+    # spans.py wraps; a call that bypasses one drops that layer's span.
+    for module_name, attr, _, _ in spans._TARGETS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    for module_name, cls_name, attr, _ in spans._METHOD_TARGETS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        monkeypatch.setattr(cls, attr, getattr(cls, attr))
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    from callselect.cli import main
+
+    log = tmp_path / "a.log"
+    log.write_text("open(1) = 3\nread(3) = 1\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label,sample_id\n{log},M,a\n")
+    records = str(tmp_path / "records.jsonl")
+    selection = str(tmp_path / "sel.json")
+    runs = {
+        "ingest": ["ingest", "--manifest", str(manifest), "--out-dir", str(tmp_path / "ing")],
+        "synth": ["synth", "--samples-per-class", "20", "--vocabulary-size", "8",
+                  "--out-dir", str(tmp_path)],
+        "featurize": ["featurize", "--records", records, "--out-dir", str(tmp_path)],
+        "select ig": ["select", "--records", records, "--method", "ig", "--out", selection],
+        "select rsst": ["select", "--records", records, "--method", "rsst", "--out", selection],
+        "eval": ["eval", "--records", records, "--selection", selection, "--lengths", "2",
+                 "--folds", "2", "--trees", "2", "--out", str(tmp_path / "eval.json")],
+    }
+    recorded = {}
+    for name, argv in runs.items():
+        tracer.spans.clear()
+        assert main(argv) == 0, argv
+        recorded[name] = {span["name"] for span in tracer.spans}
+    capsys.readouterr()
+    # forest.predict is wrapped but no operation reaches it: eval scores
+    # folds with predict_scores.
+    assert recorded == {
+        "ingest": {"ingest.ingest_corpus", "ingest.write_records_jsonl"},
+        "synth": {"synth.generate", "ingest.write_records_jsonl"},
+        "featurize": {"ingest.read_records_jsonl", "featurize.build_fvt",
+                      "featurize.fvt_to_csv", "featurize.discretize",
+                      "featurize.decision_to_csv"},
+        "select ig": {"ingest.read_records_jsonl", "featurize.build_fvt", "baselines.rank"},
+        "select rsst": {"ingest.read_records_jsonl", "featurize.build_fvt",
+                        "featurize.discretize", "roughset.generate_reduct",
+                        "ztest.filter_calls"},
+        "eval": {"ingest.read_records_jsonl", "featurize.build_fvt", "evaluate.sweep",
+                 "forest.train", "forest.predict_scores"},
+    }

@@ -213,6 +213,38 @@ def test_select_on_duplicate_call_decision_table(capsys, tmp_path):
     assert json.loads(err)["message"] == "duplicate call: 'a'"
 
 
+def test_select_on_duplicate_sample_id_decision_table(capsys, tmp_path):
+    table = tmp_path / "dup.csv"
+    table.write_text("sample_id,a,b,label\nx,B1,B4,M\nx,B1,B1,B\ny,B2,B4,M\n")
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(table), "--method", "roughset",
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err)["message"] == "duplicate sample_id: 'x'"
+    assert not (tmp_path / "sel.json").exists()
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--z-crit", "nan"], "z_crit must be finite and positive, got nan"),
+        (["--z-crit", "inf"], "z_crit must be finite and positive, got inf"),
+        (["--alpha", "nan", "--z-crit", "2"], "alpha must lie in (0, 1), got nan"),
+        (["--alpha", "7", "--z-crit", "2"], "alpha must lie in (0, 1), got 7.0"),
+    ],
+)
+def test_select_rejects_bad_z_options(capsys, tmp_path, options, message):
+    # NaN and Infinity are not JSON; the report must never record them
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(DATA / "toy_decision_table.csv"),
+        "--method", "rsst", *options, "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "sel.json").exists()
+
+
 def test_featurize_bad_record_exits_2(capsys, tmp_path):
     records = tmp_path / "records.jsonl"
     records.write_text('{"sample_id": "a", "label": "M", "counts": [], "total": 0}\n')

@@ -47,6 +47,23 @@ def test_spec_validation():
         _spec(noise_std=-1.0).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("effect_size", float("nan")), ("effect_size", float("inf")),
+     ("noise_std", float("nan")), ("noise_std", float("inf"))],
+)
+def test_spec_rejects_non_finite_effect_and_noise(field, value):
+    # a NaN draw rounds to the smallest int64 count, which featurize rejects
+    with pytest.raises(ConfigError, match=f"{field} must be finite and >= 0"):
+        _spec(**{field: value}).validate()
+
+
+def test_synth_non_finite_effect_size_writes_nothing(tmp_path, capsys):
+    assert main(["synth", "--effect-size", "nan", "--out-dir", str(tmp_path)]) == 2
+    assert "effect_size must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_generate_shape_and_labels():
     recs, key = generate(_spec())
     assert len(recs) == 40

@@ -84,6 +84,24 @@ def test_critical_value_non_default_alpha_is_pinned():
     assert critical_value(alpha=0.1) == NormalDist().inv_cdf(0.95) == 1.6448536269514715
 
 
+@pytest.mark.parametrize(
+    "alpha, z_crit, message",
+    [
+        (0.05, math.nan, "z_crit must be finite and positive, got nan"),
+        (0.05, math.inf, "z_crit must be finite and positive, got inf"),
+        (0.05, 0.0, "z_crit must be finite and positive, got 0.0"),
+        (math.nan, 2.0, "alpha must lie in (0, 1), got nan"),
+        (7.0, 2.0, "alpha must lie in (0, 1), got 7.0"),
+        (math.nan, None, "alpha must lie in (0, 1), got nan"),
+    ],
+)
+def test_critical_value_rejects_bad_options(alpha, z_crit, message):
+    # alpha is checked even when an explicit z_crit overrides it
+    with pytest.raises(ConfigError) as exc:
+        critical_value(alpha=alpha, z_crit=z_crit)
+    assert str(exc.value) == message
+
+
 def test_verdict_degenerate_column_is_none():
     fvt = _fvt([[0.5], [0.5], [0.5], [0.5]], ["M", "M", "B", "B"])
     (v,) = filter_calls(fvt, ["c0"]).rejected
