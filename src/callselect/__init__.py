@@ -46,7 +46,6 @@ from .ingest import (
     TraceLine,
     ingest_corpus,
     parse_line,
-    parse_log,
     parse_log_detailed,
     read_manifest,
     read_records_jsonl,
@@ -70,7 +69,7 @@ from .roughset import (
     positive_region,
     significance,
 )
-from .synth import AnswerKey, SynthSpec, default_spec, generate, vocabulary
+from .synth import SynthSpec, default_spec, generate, vocabulary
 from .ztest import (
     ClassStats,
     StatFilterResult,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, evaluate, ztest
-from .errors import CallSelectError, ConfigError
+from .errors import CallSelectError, ConfigError, InvariantError
 from .featurize import (
     FeatureVectorTable,
     build_fvt,
@@ -44,7 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write obj as strict JSON; a NaN or infinity is a bug and writes nothing."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"{path.name} would not be strict JSON: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _written(*paths: Path) -> int:
@@ -119,8 +124,12 @@ def select_report(
     fvt: FeatureVectorTable, config: dict, z_table: FeatureVectorTable | None = None
 ) -> dict:
     """The selection report of config["method"] on fvt. Reads the config keys
-    method, top_k, z_candidates, alpha, z_crit and sigma_as_stddev; rsst
-    runs its z stage on z_table (relative frequencies) when one is given."""
+    method, top_k, z_candidates, alpha, z_crit and sigma_as_stddev, and
+    checks alpha, z_crit and top_k whichever method runs; rsst runs its z
+    stage on z_table (relative frequencies) when one is given."""
+    ztest.critical_value(config["alpha"], config["z_crit"])
+    if config["top_k"] is not None and config["top_k"] < 1:
+        raise ConfigError(f"k must be >= 1, got {config['top_k']}")
     method = config["method"]
     report: dict = {"config": config, "method": method}
     if method not in ("rsst", "roughset"):
@@ -170,10 +179,12 @@ def _cmd_select(args) -> int:
         fvt = _surrogate_fvt(read_decision_table_csv(args.decision_table))
         if args.z_weights != "tfidf":
             raise ConfigError("relative frequencies are unavailable for a pre-binned table")
+        if args.min_df != 1:
+            raise ConfigError("--min-df does not apply to a pre-binned table")
     else:
         records = read_records_jsonl(args.records)
         fvt = build_fvt(records, min_df=args.min_df)
-        if args.z_weights == "relfreq":  # only rsst reads it
+        if args.z_weights == "relfreq" and args.method == "rsst":
             z_table = relative_frequency_table(records, min_df=args.min_df)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -243,21 +254,18 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
-    records, key = generate(spec)
+    records, _ = generate(spec)
     records_path = out_dir / "records.jsonl"
     write_records_jsonl(records, records_path)
     key_path = out_dir / "answer_key.json"
+    shared = {name: getattr(spec, name) for name in ("effect_size", "noise_std", "seed")}
     _dump_json(
         {
-            "config": {
-                "command": "synth",
-                "samples_per_class": spec.samples_per_class,
-                "vocabulary_size": spec.vocabulary_size,
-                "effect_size": spec.effect_size,
-                "noise_std": spec.noise_std,
-                "seed": spec.seed,
-            },
-            **key.to_json_dict(),
+            "config": {"command": "synth", "samples_per_class": spec.samples_per_class,
+                       "vocabulary_size": spec.vocabulary_size, **shared},
+            "planted_malware_calls": list(spec.planted_malware_calls),
+            "planted_benign_calls": list(spec.planted_benign_calls),
+            **shared,
         },
         key_path,
     )
@@ -265,6 +273,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    counts = {"--tables": args.tables, "--subsets": args.subsets,
+              "--reduct-tables": args.reduct_tables}
+    for option, count in counts.items():
+        if count < 0:
+            raise ConfigError(f"{option} must be >= 0, got {count}")
     rng = np.random.default_rng(args.seed)
     region_checks = 0
     reduct_checks = 0

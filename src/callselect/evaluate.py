@@ -144,13 +144,7 @@ class LengthResult:
     train_seconds: float
 
     def metric_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "fpr": self.fpr,
-            "paper_auc": self.paper_auc,
-            "roc_auc": self.roc_auc,
-            "f1": self.f1,
-        }
+        return {m: getattr(self, m) for m in METRIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -178,39 +172,6 @@ class EvalReport:
             writer.writerow(["std_dev"] + [f"{self.std_dev[m]:.6f}" for m in METRIC_NAMES])
 
 
-def cross_validate(
-    X: np.ndarray,
-    y: np.ndarray,
-    fold_indices: Sequence[np.ndarray],
-    seed: int,
-    length_tag: int,
-    trees_count: int,
-    max_depth: int,
-) -> tuple[np.ndarray, float]:
-    """Train on all rows but each fold's and score that fold's rows.
-
-    y holds the 0/1 label codes of X's rows, and the folds must cover
-    every row once. Returns the out-of-fold malware scores, one per row,
-    and the seconds spent training.
-    """
-    n = y.size
-    oof = np.zeros(n, dtype=np.float64)
-    spent = 0.0
-    for i, test_idx in enumerate(fold_indices):
-        train_idx = np.delete(np.arange(n), test_idx)
-        t0 = time.perf_counter()
-        model = train(
-            X[train_idx],
-            y[train_idx],
-            seed=_fold_seed(seed, length_tag, i),
-            trees_count=trees_count,
-            max_depth=max_depth,
-        )
-        spent += time.perf_counter() - t0
-        oof[test_idx] = predict_scores(model, X[test_idx])
-    return oof, spent
-
-
 def sweep(
     fvt: FeatureVectorTable,
     ranking: Sequence[str],
@@ -236,12 +197,21 @@ def sweep(
                 f"requested {length} of {len(ranking)} ranked features"
             )
     fold_indices = stratified_folds(fvt.labels, folds, seed)
+    n = fvt.n_samples
     rows: list[LengthResult] = []
     for length in lengths:
         X = fvt.weights[:, [fvt.column_index(c) for c in ranking[:length]]]
-        oof, spent = cross_validate(
-            X, fvt.y, fold_indices, seed, length, trees_count, max_depth
-        )
+        # Each fold's rows are scored by a model trained on all other rows,
+        # giving one out-of-fold malware score per row.
+        oof = np.zeros(n, dtype=np.float64)
+        spent = 0.0
+        for i, test_idx in enumerate(fold_indices):
+            train_idx = np.delete(np.arange(n), test_idx)
+            t0 = time.perf_counter()
+            model = train(X[train_idx], fvt.y[train_idx], seed=_fold_seed(seed, length, i),
+                          trees_count=trees_count, max_depth=max_depth)
+            spent += time.perf_counter() - t0
+            oof[test_idx] = predict_scores(model, X[test_idx])
         malware = oof > 0.5  # the rule predict uses
         ms = metrics(_confusion(fvt.y, malware))
         rows.append(

@@ -180,11 +180,10 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
     )
 
 
-def _check_corpus(records: Sequence[CallCountRecord]) -> None:
-    if len(records) < 2:
-        raise ConfigError("need at least 2 records to build a feature table")
-    labels = {r.label for r in records}
-    if labels != {"M", "B"}:
+def _check_corpus(records: Sequence[CallCountRecord], min_df: int) -> None:
+    if min_df < 1:
+        raise ConfigError(f"min_df must be >= 1, got {min_df}")
+    if {r.label for r in records} != {"M", "B"}:
         raise ConfigError("corpus must contain both labels M and B")
 
 
@@ -229,9 +228,7 @@ def minmax_columns(matrix: np.ndarray) -> np.ndarray:
 
 def build_fvt(records: Sequence[CallCountRecord], min_df: int = 1) -> FeatureVectorTable:
     """tf-idf weighted feature table, one row per record, columns sorted by call name."""
-    if min_df < 1:
-        raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    _check_corpus(records)
+    _check_corpus(records, min_df)
     vocab, df, tf = _term_frequencies(records, min_df)
     r = len(records)
     idf = np.array([math.log(r / df[name]) for name in vocab])
@@ -247,9 +244,7 @@ def relative_frequency_table(
     records: Sequence[CallCountRecord], min_df: int = 1
 ) -> FeatureVectorTable:
     """Plain term-frequency table (no idf, no normalization); values already in [0, 1]."""
-    if min_df < 1:
-        raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    _check_corpus(records)
+    _check_corpus(records, min_df)
     vocab, _, tf = _term_frequencies(records, min_df)
     return FeatureVectorTable(
         sample_ids=tuple(x.sample_id for x in records),

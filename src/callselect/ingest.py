@@ -152,11 +152,6 @@ def parse_log_detailed(
     return record, ParseSummary(sample_id=sample_id, path=path, by_kind=kinds)
 
 
-def parse_log(lines: Iterable[str], sample_id: str, label: str) -> CallCountRecord:
-    record, _ = parse_log_detailed(lines, sample_id, label)
-    return record
-
-
 def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
     """Parse every log named by (path, label, sample_id) rows, in order."""
     records: list[CallCountRecord] = []

@@ -54,24 +54,6 @@ class SynthSpec:
             )
 
 
-@dataclass(frozen=True)
-class AnswerKey:
-    planted_malware_calls: tuple[str, ...]
-    planted_benign_calls: tuple[str, ...]
-    effect_size: float
-    noise_std: float
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "planted_malware_calls": list(self.planted_malware_calls),
-            "planted_benign_calls": list(self.planted_benign_calls),
-            "effect_size": self.effect_size,
-            "noise_std": self.noise_std,
-            "seed": self.seed,
-        }
-
-
 def vocabulary(spec: SynthSpec) -> list[str]:
     return [f"c{i:03d}" for i in range(spec.vocabulary_size)]
 
@@ -104,8 +86,9 @@ def default_spec(
     return spec
 
 
-def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], AnswerKey]:
-    """Deterministically draw the corpus; record order is all M then all B."""
+def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], SynthSpec]:
+    """Deterministically draw the corpus; record order is all M then all B.
+    The spec comes back as the answer key: it names the planted calls."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     vocab = vocabulary(spec)
@@ -135,11 +118,4 @@ def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], AnswerKey]:
                     total_calls=totals[i],
                 )
             )
-    key = AnswerKey(
-        planted_malware_calls=spec.planted_malware_calls,
-        planted_benign_calls=spec.planted_benign_calls,
-        effect_size=spec.effect_size,
-        noise_std=spec.noise_std,
-        seed=spec.seed,
-    )
-    return records, key
+    return records, spec

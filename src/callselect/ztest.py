@@ -123,13 +123,9 @@ def filter_calls(
 ) -> StatFilterResult:
     """Split candidates into malware/benign survivor lists plus the rejects."""
     crit = critical_value(alpha, z_crit)
-    names = sorted(set(candidates))
-    known = set(fvt.calls)
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"candidate {name!r} is not in the feature table")
     verdicts = []
-    for stats in class_stats(fvt, names):  # too few samples per class still raises
+    # class_stats raises for an unknown call or too few samples per class.
+    for stats in class_stats(fvt, sorted(set(candidates))):
         try:
             z = z_score(stats, sigma_as_stddev)
         except ConfigError:  # zero pooled standard error

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import callselect
-from callselect.cli import main
+from callselect.cli import METHODS, _surrogate_fvt, main, select_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -272,6 +272,72 @@ def test_select_requires_exactly_one_input(capsys, tmp_path):
     assert code2 == 2
 
 
+@pytest.fixture
+def synth_records(tmp_path):
+    path = tmp_path / "records.jsonl"
+    records, _ = callselect.generate(callselect.default_spec(samples_per_class=8, vocabulary_size=8))
+    callselect.write_records_jsonl(records, path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["--records", "--decision-table"], ids=["records", "table"])
+@pytest.mark.parametrize(
+    "method, options, message",
+    [
+        ("ig", ["--z-crit", "nan"], "z_crit must be finite and positive, got nan"),
+        ("chi", ["--z-crit", "inf"], "z_crit must be finite and positive, got inf"),
+        ("roughset", ["--alpha", "7"], "alpha must lie in (0, 1), got 7.0"),
+        ("su", ["--min-df", "0"], None),
+        ("rsst", ["--top-k", "0"], "k must be >= 1, got 0"),
+    ],
+    ids=["ig-z-crit-nan", "chi-z-crit-inf", "roughset-alpha-7", "su-min-df-0", "rsst-top-k-0"],
+)
+def test_select_checks_every_recorded_option(
+    capsys, tmp_path, synth_records, kind, method, options, message
+):
+    # Every option lands in the report's config, so each is checked
+    # whichever method runs and whatever the input.
+    if message is None:
+        message = ("min_df must be >= 1, got 0" if kind == "--records"
+                   else "--min-df does not apply to a pre-binned table")
+    source = synth_records if kind == "--records" else DATA / "toy_decision_table.csv"
+    code, out, err = _run(
+        capsys, "select", kind, str(source), "--method", method, *options,
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+    assert not (tmp_path / "sel.json").exists()
+
+
+def test_select_report_checks_its_options_for_every_method():
+    fvt = _surrogate_fvt(callselect.read_decision_table_csv(DATA / "toy_decision_table.csv"))
+    good = {"top_k": None, "z_candidates": "reduct", "alpha": 0.05, "z_crit": None,
+            "sigma_as_stddev": False}
+    bad = [({"z_crit": float("nan")}, "z_crit"), ({"alpha": 7.0}, "alpha"),
+           ({"top_k": 0}, "k must be >= 1")]
+    for method in METHODS:
+        assert select_report(fvt, {**good, "method": method})["ranking"]
+        for change, match in bad:
+            with pytest.raises(callselect.ConfigError, match=match):
+                select_report(fvt, {**good, "method": method, **change})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_reports_are_strict_json(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setattr(
+        "callselect.cli.select_report",
+        lambda fvt, config, z_table=None: {"config": config, "score": value},
+    )
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(DATA / "toy_decision_table.csv"),
+        "--method", "ig", "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "InvariantError"
+    assert not (tmp_path / "sel.json").exists()
+
+
 def test_select_relfreq_needs_raw_records(capsys, tmp_path):
     code, out, err = _run(
         capsys,
@@ -485,6 +551,14 @@ def test_oracle_check_reports_a_wrong_step(capsys, monkeypatch):
     )
     kinds = {m["kind"] for m in json.loads(out)["mismatches"]}
     assert code == 1 and kinds == {"reduct_step"}
+
+
+@pytest.mark.parametrize("option", ["--tables", "--subsets", "--reduct-tables"])
+def test_oracle_check_rejects_negative_counts(capsys, option):
+    # a negative count would run no check at all and still pass
+    code, out, err = _run(capsys, "oracle-check", option, "-2")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ConfigError", "message": f"{option} must be >= 0, got -2"}
 
 
 def test_unknown_method_is_usage_error(capsys, tmp_path):

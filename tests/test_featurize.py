@@ -330,6 +330,29 @@ def test_tf_fill_matches_per_count_reference():
         assert np.array_equal(rel.weights, tf), case
 
 
+def test_min_df_leaves_every_kept_column_bit_for_bit():
+    # tf divides by total_calls and idf reads df and the record count, none
+    # of which depends on the vocabulary, so min_df only drops columns.
+    pruned_cases = 0
+    for case in range(100):
+        records = _random_corpus(np.random.default_rng(case))
+        full = build_fvt(records)
+        for min_df in (2, 3):
+            try:
+                kept = build_fvt(records, min_df=min_df)
+            except ConfigError as exc:
+                assert "empty vocabulary" in str(exc), case
+                continue
+            for call in kept.calls:
+                assert np.array_equal(kept.column(call), full.column(call)), (case, call)
+            dropped = set(full.calls) - set(kept.calls)
+            pruned_cases += bool(dropped)
+            for call in dropped:
+                with pytest.raises(ConfigError, match="unknown call"):
+                    kept.column(call)
+    assert pruned_cases > 50
+
+
 def _reference_csv(path, table):
     """The writer as it was: every cell formatted, every row through csv.writer."""
     if isinstance(table, FeatureVectorTable):

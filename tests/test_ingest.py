@@ -16,7 +16,6 @@ from callselect import (
     ConfigError,
     ingest_corpus,
     parse_line,
-    parse_log,
     parse_log_detailed,
     read_manifest,
     read_records_jsonl,
@@ -117,13 +116,13 @@ def test_counting_rule_three_line_example():
         "read(3, <unfinished ...>",
         '<... read resumed> "root", 100) = 100',
     ]
-    rec = parse_log(lines, sample_id="a", label="M")
+    rec = parse_log_detailed(lines, sample_id="a", label="M")[0]
     assert rec.counts == {"open": 1, "read": 1}
     assert rec.total_calls == 2
 
 
 def test_empty_log_yields_empty_record():
-    rec = parse_log([], sample_id="e", label="B")
+    rec = parse_log_detailed([], sample_id="e", label="B")[0]
     assert rec.counts == {}
     assert rec.total_calls == 0
 
@@ -299,8 +298,8 @@ def test_parse_line_total_on_bytes(raw):
     )
 )
 def test_counts_invariant_under_permutation(lines):
-    rec = parse_log(lines, sample_id="p", label="M")
-    rev = parse_log(list(reversed(lines)), sample_id="p", label="M")
+    rec = parse_log_detailed(lines, sample_id="p", label="M")[0]
+    rev = parse_log_detailed(list(reversed(lines)), sample_id="p", label="M")[0]
     assert rec.counts == rev.counts
     assert rec.total_calls == sum(rec.counts.values())
 

@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from callselect import (
     ConfigError,
     FeatureVectorTable,
+    build_fvt,
     class_stats,
     critical_value,
+    default_spec,
     eval_ranking,
     filter_calls,
+    generate,
+    relative_frequency_table,
     z_score,
 )
 from callselect.ztest import ClassStats
@@ -156,6 +160,28 @@ def test_filter_candidates_validated():
     fvt = _fvt([[0.1], [0.9], [0.2], [0.8]], ["M", "M", "B", "B"])
     with pytest.raises(ConfigError, match="ghost"):
         filter_calls(fvt, ["ghost"])
+
+
+def _z_by_call(result):
+    return {v.call: v.z for v in result.malware + result.benign + result.rejected}
+
+
+@pytest.mark.parametrize("seed", [3, 51, 7])
+def test_relfreq_and_tfidf_give_one_z_where_idf_is_positive(seed):
+    # With idf > 0, min-max of tf * idf is a positive affine map of a tf
+    # column, which the variance form of z does not see. A call present in
+    # every record has idf 0, so its tf-idf column is constant and z is None.
+    records, _ = generate(default_spec(samples_per_class=40, vocabulary_size=60, seed=seed))
+    tfidf, rel = build_fvt(records), relative_frequency_table(records)
+    z_tfidf = _z_by_call(filter_calls(tfidf, tfidf.calls))
+    z_rel = _z_by_call(filter_calls(rel, rel.calls))
+    everywhere = {c for c in tfidf.calls if all(c in r.counts for r in records)}
+    assert 0 < len(everywhere) < len(tfidf.calls)
+    for call in tfidf.calls:
+        if call in everywhere:
+            assert z_tfidf[call] is None and z_rel[call] is not None, call
+        else:
+            assert z_tfidf[call] == pytest.approx(z_rel[call], rel=1e-9, abs=1e-12), call
 
 
 def test_filter_partitions_candidates():
