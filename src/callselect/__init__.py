@@ -41,6 +41,7 @@ from .featurize import (
 from .forest import TreeEnsemble, predict, predict_scores, train
 from .ingest import (
     CallCountRecord,
+    Corpus,
     IngestResult,
     ParseSummary,
     TraceLine,

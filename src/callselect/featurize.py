@@ -14,14 +14,14 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .ingest import CallCountRecord, read_input
+from .ingest import CallCountRecord, Corpus, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
 
@@ -180,39 +180,44 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
     )
 
 
-def _check_corpus(records: Sequence[CallCountRecord], min_df: int) -> None:
+def _corpus(data: Corpus | Sequence[CallCountRecord], min_df: int) -> Corpus:
     if min_df < 1:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    if {r.label for r in records} != {"M", "B"}:
+    corpus = data if isinstance(data, Corpus) else Corpus.from_records(data)
+    if set(corpus.labels) != {"M", "B"}:
         raise ConfigError("corpus must contain both labels M and B")
+    return corpus
 
 
 def _term_frequencies(
-    records: Sequence[CallCountRecord], min_df: int
-) -> tuple[list[str], Counter, np.ndarray]:
-    """The vocabulary (calls in at least min_df records, sorted), every
-    call's document frequency, and the tf matrix: count / total_calls per
-    (record, vocabulary call). Rows are filled one at a time; a corpus-wide
-    index array would cost 8-16 bytes per nonzero count."""
-    df = Counter(chain.from_iterable(r.counts for r in records))
-    vocab = sorted(name for name, d in df.items() if d >= min_df)
+    corpus: Corpus, min_df: int
+) -> tuple[tuple[str, ...], list[int], np.ndarray]:
+    """The vocabulary (calls in at least min_df samples, sorted), its
+    document frequencies and the tf matrix: count / the sample's total per
+    (sample, vocabulary call). Rows are filled one slice at a time; an
+    index array over every count would cost 8-16 bytes per count."""
+    df = np.bincount(corpus.indices, minlength=len(corpus.calls))
+    kept = df >= min_df
+    vocab = tuple(compress(corpus.calls, kept.tolist()))
     if not vocab:
         raise ConfigError("empty vocabulary after min_df filtering")
-    col = dict.fromkeys(df, -1)  # -1: below min_df
-    col.update((name, j) for j, name in enumerate(vocab))
-    pruned = len(vocab) < len(col)
-    tf = np.zeros((len(records), len(vocab)), dtype=np.float64)
-    for row, r in zip(tf, records):
-        if r.total_calls == 0:
+    col = None  # the identity unless min_df prunes
+    if len(vocab) < len(corpus.calls):
+        col = np.where(kept, np.cumsum(kept) - 1, -1)
+    tf = np.zeros((len(corpus.sample_ids), len(vocab)), dtype=np.float64)
+    bounds = corpus.indptr.tolist()
+    for row, a, b in zip(tf, bounds, bounds[1:]):
+        if a == b:
             continue
-        n = len(r.counts)
-        idx = np.fromiter(map(col.__getitem__, r.counts), np.intp, n)
-        values = np.fromiter(r.counts.values(), np.float64, n)
-        if pruned:
-            kept = idx >= 0
-            idx, values = idx[kept], values[kept]
-        row[idx] = values / r.total_calls
-    return vocab, df, tf
+        counts = corpus.counts[a:b]
+        values = counts / counts.sum()
+        idx = corpus.indices[a:b]
+        if col is not None:
+            idx = col[idx]
+            keep = idx >= 0
+            idx, values = idx[keep], values[keep]
+        row[idx] = values
+    return vocab, df[kept].tolist(), tf
 
 
 def minmax_columns(matrix: np.ndarray) -> np.ndarray:
@@ -226,31 +231,33 @@ def minmax_columns(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_fvt(records: Sequence[CallCountRecord], min_df: int = 1) -> FeatureVectorTable:
-    """tf-idf weighted feature table, one row per record, columns sorted by call name."""
-    _check_corpus(records, min_df)
-    vocab, df, tf = _term_frequencies(records, min_df)
-    r = len(records)
-    idf = np.array([math.log(r / df[name]) for name in vocab])
+def build_fvt(
+    records: Corpus | Sequence[CallCountRecord], min_df: int = 1
+) -> FeatureVectorTable:
+    """tf-idf weighted feature table, one row per sample, columns sorted by call name."""
+    corpus = _corpus(records, min_df)
+    vocab, df, tf = _term_frequencies(corpus, min_df)
+    r = len(corpus.sample_ids)
+    idf = np.array([math.log(r / d) for d in df])
     return FeatureVectorTable(
-        sample_ids=tuple(x.sample_id for x in records),
-        calls=tuple(vocab),
+        sample_ids=corpus.sample_ids,
+        calls=vocab,
         weights=minmax_columns(tf * idf),
-        labels=tuple(x.label for x in records),
+        labels=corpus.labels,
     )
 
 
 def relative_frequency_table(
-    records: Sequence[CallCountRecord], min_df: int = 1
+    records: Corpus | Sequence[CallCountRecord], min_df: int = 1
 ) -> FeatureVectorTable:
     """Plain term-frequency table (no idf, no normalization); values already in [0, 1]."""
-    _check_corpus(records, min_df)
-    vocab, _, tf = _term_frequencies(records, min_df)
+    corpus = _corpus(records, min_df)
+    vocab, _, tf = _term_frequencies(corpus, min_df)
     return FeatureVectorTable(
-        sample_ids=tuple(x.sample_id for x in records),
-        calls=tuple(vocab),
+        sample_ids=corpus.sample_ids,
+        calls=vocab,
         weights=tf,
-        labels=tuple(x.label for x in records),
+        labels=corpus.labels,
     )
 
 

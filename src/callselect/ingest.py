@@ -12,10 +12,14 @@ import csv
 import io
 import json
 import re
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -64,22 +68,37 @@ class CallCountRecord:
     counts: dict[str, int]
     total_calls: int
 
-    def validate(self) -> None:
-        """Check a record read from outside; nothing is coerced."""
-        if not (type(self.sample_id) is str and type(self.counts) is dict
-                and type(self.total_calls) is int
-                and set(map(type, self.counts.values())) <= {int}):
-            raise ConfigError(
-                "sample_id must be a string, counts an object of integers "
-                "and total an integer"
-            )
-        if self.label not in LABELS:
-            raise ConfigError(f"label must be one of {LABELS}, got {self.label!r}")
-        for name, n in self.counts.items():
-            if n < 1:
-                raise ConfigError(f"count for {name!r} must be >= 1, got {n}")
-        if self.total_calls != sum(self.counts.values()):
-            raise ConfigError("total_calls does not equal the sum of counts")
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Call counts of many samples in compressed sparse rows: sample i made
+    counts[k] calls of calls[indices[k]] for k in indptr[i]:indptr[i+1].
+    A sample's total is the sum of its counts."""
+
+    sample_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    calls: tuple[str, ...]  # sorted, distinct
+    indptr: np.ndarray  # int64, len(sample_ids) + 1
+    indices: np.ndarray  # int32 column ids into calls
+    counts: np.ndarray  # int64, each >= 1
+
+    @classmethod
+    def from_records(cls, records: Sequence[CallCountRecord]) -> Corpus:
+        """Pack records in order; each row keeps its record's key order."""
+        calls = sorted({name for r in records for name in r.counts})
+        col = {name: j for j, name in enumerate(calls)}
+        indptr = np.cumsum([0, *(len(r.counts) for r in records)], dtype=np.int64)
+        nnz = int(indptr[-1])
+        return cls(
+            sample_ids=tuple(r.sample_id for r in records),
+            labels=tuple(r.label for r in records),
+            calls=tuple(calls),
+            indptr=indptr,
+            indices=np.fromiter(map(col.__getitem__, chain.from_iterable(
+                r.counts for r in records)), np.int32, nnz),
+            counts=np.fromiter(chain.from_iterable(
+                r.counts.values() for r in records), np.int64, nnz),
+        )
 
 
 @dataclass(frozen=True)
@@ -218,29 +237,79 @@ def write_records_jsonl(records: Iterable[CallCountRecord], path: str | Path) ->
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def read_records_jsonl(path: str | Path) -> list[CallCountRecord]:
+def _split_lines(text: str) -> Iterator[str]:
+    """The pieces of text.split("\\n"), one at a time, so they are never
+    all held at once."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def read_records_jsonl(path: str | Path) -> Corpus:
     """Read the write_records_jsonl layout; a bad line is a ConfigError naming it.
 
-    sample_id must be a string, counts a JSON object of JSON integers and
-    total an integer: a count of 1.5, "3" or true is an error, not 1 or 3.
+    sample_id must be a string, counts a JSON object of JSON integers, each
+    at least 1 and below 2**63, and total their sum: a count of 1.5, "3" or
+    true is an error, not 1 or 3. total is checked, not stored.
     """
-    records: list[CallCountRecord] = []
+    sample_ids: list[str] = []
+    labels: list[str] = []
+    index: dict[str, int] = {}  # call name -> column id, in first-seen order
+    indptr = array("q", [0])
+    indices = array("i")  # C int: np.int32
+    counts = array("q")
     # Split at "\n" only (JSON skips a "\r"): strings may hold U+2028 etc.
-    for lineno, line in enumerate(read_input(path, "record file").split("\n"), start=1):
+    lines = _split_lines(read_input(path, "record file"))
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            record = CallCountRecord(
-                sample_id=obj["sample_id"],
-                label=obj["label"],
-                counts=obj["counts"],
-                total_calls=obj["total"],
-            )
-            record.validate()
-        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as exc:
+            sample_id, label, row, total = (
+                obj["sample_id"], obj["label"], obj["counts"], obj["total"])
+            if not (type(sample_id) is str and type(row) is dict
+                    and type(total) is int
+                    and set(map(type, row.values())) <= {int}):
+                raise ConfigError(
+                    "sample_id must be a string, counts an object of integers "
+                    "and total an integer"
+                )
+            if label not in LABELS:
+                raise ConfigError(f"label must be one of {LABELS}, got {label!r}")
+            n = len(row)
+            try:
+                ids = np.fromiter(map(index.__getitem__, row), np.int32, n)
+            except KeyError:  # the line brings a call no earlier line had
+                for name in row:
+                    index.setdefault(name, len(index))
+                ids = np.fromiter(map(index.__getitem__, row), np.int32, n)
+            values = np.fromiter(row.values(), np.int64, n)
+            if n and values.min() < 1:
+                name = next(name for name, v in row.items() if v < 1)
+                raise ConfigError(f"count for {name!r} must be >= 1, got {row[name]}")
+            if total != sum(row.values()):
+                raise ConfigError("total_calls does not equal the sum of counts")
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError,
+                ConfigError) as exc:
             raise ConfigError(
                 f"bad record on line {lineno} of {str(path)!r}: {exc}"
             ) from exc
-        records.append(record)
-    return records
+        sample_ids.append(sample_id)
+        labels.append(label)
+        indices.frombytes(ids.tobytes())
+        counts.frombytes(values.tobytes())
+        indptr.append(len(counts))
+    # Column ids become positions in the sorted vocabulary.
+    calls = sorted(index)
+    remap = np.empty(len(calls), dtype=np.int32)
+    remap[[index[name] for name in calls]] = np.arange(len(calls))
+    return Corpus(
+        sample_ids=tuple(sample_ids),
+        labels=tuple(labels),
+        calls=tuple(calls),
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=remap[np.frombuffer(indices, dtype=np.int32)],
+        counts=np.frombuffer(counts, dtype=np.int64),
+    )

@@ -54,8 +54,12 @@ class SynthSpec:
             )
 
 
+def _call_names(size: int) -> list[str]:
+    return [f"c{i:03d}" for i in range(size)]
+
+
 def vocabulary(spec: SynthSpec) -> list[str]:
-    return [f"c{i:03d}" for i in range(spec.vocabulary_size)]
+    return _call_names(spec.vocabulary_size)
 
 
 def default_spec(
@@ -72,7 +76,7 @@ def default_spec(
         raise ConfigError(f"planted counts must be >= 0, got {planted_malware=}, {planted_benign=}")
     if planted_malware + planted_benign > vocabulary_size:
         raise ConfigError("more planted calls than vocabulary entries")
-    names = [f"c{i:03d}" for i in range(vocabulary_size)]
+    names = _call_names(vocabulary_size)
     spec = SynthSpec(
         samples_per_class=samples_per_class,
         vocabulary_size=vocabulary_size,

@@ -1,10 +1,11 @@
-"""Shared fixtures: the seven-sample golden decision table and hypothesis profile."""
+"""Shared fixtures: the seven-sample golden decision table, a corpus
+comparison and the hypothesis profile."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from callselect import DecisionTable
+from callselect import Corpus, DecisionTable
 
 settings.register_profile(
     "suite",
@@ -12,6 +13,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def assert_same_corpus(got: Corpus, want: Corpus) -> None:
+    """Equal field by field, array dtypes included."""
+    assert got.sample_ids == want.sample_ids
+    assert got.labels == want.labels
+    assert got.calls == want.calls
+    for name, dtype in (("indptr", np.int64), ("indices", np.int32), ("counts", np.int64)):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == dtype, name
+        assert np.array_equal(a, b), name
+
 
 # Three calls, seven samples. Known by hand:
 #   psi(s1)=4/7, psi(s2)=3/7, psi(s3)=5/7,

@@ -111,7 +111,7 @@ def test_records_strings_hold_line_separators(capsys, tmp_path):
     for name, content in (("lf", text), ("crlf", text.replace("\n", "\r\n"))):
         records = tmp_path / f"{name}.jsonl"
         records.write_bytes(content.encode("utf-8"))
-        assert [r.sample_id for r in callselect.read_records_jsonl(records)] == [
+        assert list(callselect.read_records_jsonl(records).sample_ids) == [
             r["sample_id"] for r in rows]
         out_dir = tmp_path / name
         code, out, err = _run(capsys, "featurize", "--records", str(records),

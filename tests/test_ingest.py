@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from callselect import (
     CallCountRecord,
     ConfigError,
+    Corpus,
     ingest_corpus,
     parse_line,
     parse_log_detailed,
@@ -24,6 +25,7 @@ from callselect import (
 )
 from callselect.cli import main
 from callselect.ingest import LINE_KINDS
+from conftest import assert_same_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -234,7 +236,7 @@ def test_records_jsonl_roundtrip(tmp_path):
     p = tmp_path / "records.jsonl"
     write_records_jsonl(recs, p)
     back = read_records_jsonl(p)
-    assert back == recs
+    assert_same_corpus(back, Corpus.from_records(recs))
     # the serialized form stays plain JSON-per-line
     first = json.loads(p.read_text().splitlines()[0])
     assert set(first) == {"sample_id", "label", "counts", "total"}
@@ -264,6 +266,25 @@ def test_records_jsonl_bad_line_named(tmp_path, bad):
     p = tmp_path / "records.jsonl"
     p.write_text('{"sample_id": "a", "label": "M", "counts": {}, "total": 0}\n' + bad + "\n")
     with pytest.raises(ConfigError, match="line 2"):
+        read_records_jsonl(p)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # "read" is new on this line, so its column ids are looked up twice
+        ('{"open": -1, "read": 3}', "count for 'open' must be >= 1, got -1"),
+        ('{"open": 1, "close": 0}', "count for 'close' must be >= 1, got 0"),
+        ('{"open": 9223372036854775808}', ".*too large"),
+    ],
+    ids=["new-call", "second-key", "past-int64"],
+)
+def test_records_jsonl_bad_count_named(tmp_path, counts, message):
+    p = tmp_path / "records.jsonl"
+    total = sum(json.loads(counts).values())
+    p.write_text('{"sample_id": "a", "label": "M", "counts": {"open": 2}, "total": 2}\n'
+                 f'{{"sample_id": "b", "label": "B", "counts": {counts}, "total": {total}}}\n')
+    with pytest.raises(ConfigError, match=r"bad record on line 2 of '.*': " + message):
         read_records_jsonl(p)
 
 
