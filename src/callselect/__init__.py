@@ -21,7 +21,7 @@ from .errors import CallSelectError, ConfigError, InvariantError
 from .evaluate import (
     ConfusionMatrix,
     EvalReport,
-    MetricSet,
+    LengthResult,
     metrics,
     roc_auc,
     stratified_folds,
@@ -34,7 +34,6 @@ from .featurize import (
     build_fvt,
     discretize,
     label_codes,
-    minmax_columns,
     read_decision_table_csv,
     relative_frequency_table,
 )
@@ -55,6 +54,7 @@ from .ingest import (
 from .oracles import (
     ExhaustiveResult,
     exhaustive_reduct,
+    minmax_columns,
     naive_positive_region,
     pairwise_roc_auc,
     random_decision_table,

@@ -100,8 +100,8 @@ def _cmd_ingest(args) -> int:
 def _cmd_featurize(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = read_records_jsonl(args.records)
-    fvt = build_fvt(records, min_df=args.min_df)
+    # The corpus goes as build_fvt returns; the writers hold one table each.
+    fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     fvt_path = out_dir / "fvt.csv"
     fvt.to_csv(fvt_path)
     table_path = out_dir / "decision_table.csv"
@@ -183,9 +183,10 @@ def _cmd_select(args) -> int:
             raise ConfigError("--min-df does not apply to a pre-binned table")
     else:
         records = read_records_jsonl(args.records)
-        fvt = build_fvt(records, min_df=args.min_df)
         if args.z_weights == "relfreq" and args.method == "rsst":
             z_table = relative_frequency_table(records, min_df=args.min_df)
+        fvt = build_fvt(records, min_df=args.min_df)
+        del records  # selection reads only the tables
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump_json(select_report(fvt, config, z_table), out)
@@ -193,8 +194,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    records = read_records_jsonl(args.records)
-    fvt = build_fvt(records, min_df=args.min_df)
+    fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     try:
         selection = json.loads(read_input(args.selection, "selection report"))
     except json.JSONDecodeError as exc:

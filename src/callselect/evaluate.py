@@ -14,6 +14,7 @@ rank-based probability that a malware sample outranks a benign one.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -45,27 +46,39 @@ class ConfusionMatrix:
         return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
 
 
-@dataclass(frozen=True)
-class MetricSet:
+@dataclass(frozen=True, kw_only=True)
+class LengthResult:
+    """The metrics of one ranking prefix. metrics() fills the confusion
+    metrics; sweep also gives the length, roc_auc from the out-of-fold
+    scores, each fold's confusion and the training time."""
+
     acc: float
     fpr: float
     paper_auc: float
     f1: float
+    length: int = 0
+    roc_auc: float = math.nan
+    folds: tuple[ConfusionMatrix, ...] = ()
+    train_seconds: float = 0.0
+
+    def metric_dict(self) -> dict:
+        return {m: getattr(self, m) for m in METRIC_NAMES}
 
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den != 0 else 0.0
 
 
-def metrics(cm: ConfusionMatrix) -> MetricSet:
-    """Confusion-matrix metrics with every 0/0 term defined as 0."""
+def metrics(cm: ConfusionMatrix, **rest) -> LengthResult:
+    """Confusion-matrix metrics with every 0/0 term defined as 0; rest gives
+    the other LengthResult fields."""
     acc = _ratio(cm.tp + cm.tn, cm.total)
     fpr = _ratio(cm.fp, cm.fp + cm.tn)
     paper_auc = 0.5 * (_ratio(cm.tp, cm.tp + cm.fp) + _ratio(cm.tn, cm.tn + cm.fp))
     precision = _ratio(cm.tp, cm.tp + cm.fp)
     recall = _ratio(cm.tp, cm.tp + cm.fn)
     f1 = _ratio(2.0 * precision * recall, precision + recall)
-    return MetricSet(acc=acc, fpr=fpr, paper_auc=paper_auc, f1=f1)
+    return LengthResult(acc=acc, fpr=fpr, paper_auc=paper_auc, f1=f1, **rest)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -130,21 +143,6 @@ def _confusion(actual: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
     """Counts from 0/1 label codes and boolean malware predictions."""
     tn, fp, fn, tp = np.bincount(2 * actual + predicted, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
-
-
-@dataclass(frozen=True)
-class LengthResult:
-    length: int
-    acc: float
-    fpr: float
-    paper_auc: float
-    roc_auc: float
-    f1: float
-    folds: tuple[ConfusionMatrix, ...]
-    train_seconds: float
-
-    def metric_dict(self) -> dict:
-        return {m: getattr(self, m) for m in METRIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -213,19 +211,13 @@ def sweep(
             spent += time.perf_counter() - t0
             oof[test_idx] = predict_scores(model, X[test_idx])
         malware = oof > 0.5  # the rule predict uses
-        ms = metrics(_confusion(fvt.y, malware))
-        rows.append(
-            LengthResult(
-                length=length,
-                acc=ms.acc,
-                fpr=ms.fpr,
-                paper_auc=ms.paper_auc,
-                roc_auc=roc_auc(oof, fvt.labels),
-                f1=ms.f1,
-                folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices),
-                train_seconds=spent,
-            )
-        )
+        rows.append(metrics(
+            _confusion(fvt.y, malware),
+            length=length,
+            roc_auc=roc_auc(oof, fvt.labels),
+            folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices),
+            train_seconds=spent,
+        ))
     average = {
         m: float(np.mean([r.metric_dict()[m] for r in rows])) for m in METRIC_NAMES
     }

@@ -220,15 +220,13 @@ def _term_frequencies(
     return vocab, df[kept].tolist(), tf
 
 
-def minmax_columns(matrix: np.ndarray) -> np.ndarray:
-    """Min-max normalize each column into [0, 1]; constant columns become 0."""
-    lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    span = hi - lo
-    out = np.zeros_like(matrix, dtype=np.float64)
-    varying = span > 0
-    out[:, varying] = (matrix[:, varying] - lo[varying]) / span[varying]
-    return out
+def _minmax_in_place(m: np.ndarray) -> None:
+    """oracles.minmax_columns(m) written into m, bit for bit when m holds no
+    -0.0 (tf-idf holds none): a constant column becomes x - x = +0.0."""
+    lo = m.min(axis=0)
+    span = m.max(axis=0) - lo
+    m -= lo
+    m /= np.where(span > 0, span, 1.0)
 
 
 def build_fvt(
@@ -238,11 +236,12 @@ def build_fvt(
     corpus = _corpus(records, min_df)
     vocab, df, tf = _term_frequencies(corpus, min_df)
     r = len(corpus.sample_ids)
-    idf = np.array([math.log(r / d) for d in df])
+    tf *= np.array([math.log(r / d) for d in df])  # the weights, in the tf buffer
+    _minmax_in_place(tf)
     return FeatureVectorTable(
         sample_ids=corpus.sample_ids,
         calls=vocab,
-        weights=minmax_columns(tf * idf),
+        weights=tf,
         labels=corpus.labels,
     )
 

@@ -237,14 +237,23 @@ def write_records_jsonl(records: Iterable[CallCountRecord], path: str | Path) ->
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _split_lines(text: str) -> Iterator[str]:
-    """The pieces of text.split("\\n"), one at a time, so they are never
-    all held at once."""
-    start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
-        start = end + 1
-    yield text[start:]
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(number from 1, text) of each line, cut at b"\\n" and decoded alone as
+    UTF-8, which no UTF-8 sequence holds: the pieces of the decoded text's
+    split("\\n") without its final empty one, and the file is never held
+    whole. An unreadable file or an undecodable line is a ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    yield lineno, raw.removesuffix(b"\n").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(
+                        f"cannot read record file {str(path)!r}: {exc} "
+                        f"(line {lineno}, position counted from its start)"
+                    ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read record file {str(path)!r}: {exc}") from exc
 
 
 def read_records_jsonl(path: str | Path) -> Corpus:
@@ -261,8 +270,7 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     indices = array("i")  # C int: np.int32
     counts = array("q")
     # Split at "\n" only (JSON skips a "\r"): strings may hold U+2028 etc.
-    lines = _split_lines(read_input(path, "record file"))
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in _numbered_lines(path):
         if not line.strip():
             continue
         try:

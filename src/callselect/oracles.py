@@ -4,9 +4,10 @@ These deliberately take the slow, literal route: the positive region via
 pairwise comparison of every sample pair, the best reduct via full subset
 enumeration, roc_auc via explicit pair counting, the forest by growing
 each tree depth first, one node at a time, term frequencies one count
-at a time, and each trace line one test at a time. They exist so the
-production implementations can be verified against an independent
-formulation, and they refuse inputs large enough to make that painful.
+at a time, min-max weights into a fresh matrix, and each trace line one
+test at a time. They exist so the production implementations can be
+verified against an independent formulation, and they refuse inputs
+large enough to make that painful.
 """
 from __future__ import annotations
 
@@ -186,6 +187,18 @@ def reference_forest(
         trees_count=trees_count,
         max_depth=max_depth,
     )
+
+
+def minmax_columns(matrix: np.ndarray) -> np.ndarray:
+    """Min-max normalize each column into [0, 1]; constant columns become 0.
+    A new matrix, varying columns only; build_fvt normalizes in place."""
+    lo = matrix.min(axis=0)
+    hi = matrix.max(axis=0)
+    span = hi - lo
+    out = np.zeros_like(matrix, dtype=np.float64)
+    varying = span > 0
+    out[:, varying] = (matrix[:, varying] - lo[varying]) / span[varying]
+    return out
 
 
 def reference_term_frequencies(

@@ -25,6 +25,7 @@ from .featurize import FeatureVectorTable
 
 DEFAULT_ALPHA = 0.05
 DEFAULT_Z_CRIT = 1.96
+_STATS_BLOCK = 32  # columns class_stats copies at a time
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,23 @@ class StatFilterResult:
 
 def class_stats(fvt: FeatureVectorTable, calls: Sequence[str]) -> list[ClassStats]:
     """ClassStats per call, in order. Each class's columns are copied
-    transposed and contiguous, so each row reduces as the 1-D column would."""
+    transposed and contiguous, _STATS_BLOCK at a time, so each row reduces
+    as the 1-D column would and no copy of the whole class is made."""
     cols = [fvt.column_index(c) for c in calls]
     per_class = []
     for name, code in (("M", 1), ("B", 0)):
-        vals = np.ascontiguousarray(fvt.weights[np.ix_(fvt.y == code, cols)].T)
-        size = vals.shape[1]
-        if cols and size < 2:
+        rows = np.flatnonzero(fvt.y == code)
+        if cols and rows.size < 2:
             raise ConfigError(
-                f"class {name} has {size} samples; need at least 2 for a z test"
+                f"class {name} has {rows.size} samples; need at least 2 for a z test"
             )
-        per_class.append((vals.mean(axis=1).tolist(), vals.var(axis=1).tolist(), size))
+        means, variances = [], []
+        for start in range(0, len(cols), _STATS_BLOCK):
+            vals = np.ascontiguousarray(
+                fvt.weights[np.ix_(rows, cols[start:start + _STATS_BLOCK])].T)
+            means += vals.mean(axis=1).tolist()
+            variances += vals.var(axis=1).tolist()
+        per_class.append((means, variances, rows.size))
     (mean_m, var_m, n_m), (mean_b, var_b, n_b) = per_class
     return [ClassStats(*row, n_m, n_b) for row in zip(calls, mean_m, mean_b, var_m, var_b)]
 

@@ -1,11 +1,14 @@
-"""The columnar corpus: the records JSONL reader against Corpus.from_records,
-tf tables from a Corpus and from records against the per-count reference,
-and the reader's memory."""
+"""The columnar corpus: the records JSONL reader against Corpus.from_records
+and against the whole-text reader it replaced, tf tables from a Corpus and
+from records against the per-count reference, and the reader's memory."""
 
+import json
 import math
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -21,15 +24,13 @@ from callselect import (
     relative_frequency_table,
     write_records_jsonl,
 )
+from callselect.ingest import LABELS, read_input
 from callselect.oracles import reference_term_frequencies
 from callselect.synth import default_spec, generate
 
 from conftest import assert_same_corpus
-from test_featurize import _random_corpus, _rec  # unsorted keys, empty rows, rare calls
-
-
-def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+# _random_corpus: unsorted keys, empty rows, rare calls
+from test_featurize import _random_corpus, _rec, _same_bits
 
 
 def _check_round_trip(records, path, min_df):
@@ -116,3 +117,169 @@ def test_reader_memory_is_a_small_multiple_of_the_file(tmp_path):
     assert len(corpus.sample_ids) == 1000
     assert peak <= 3.5 * size, peak / size
     assert held <= 2.5 * size, held / size
+
+
+def _line(sample_id, label, counts, total=None, **dumps):
+    total = sum(counts.values()) if total is None else total
+    return json.dumps({"sample_id": sample_id, "label": label, "counts": counts,
+                       "total": total}, **dumps)
+
+
+_PLAIN = "\n".join([_line("m1", "M", {"open": 2, "read": 1}), _line("b1", "B", {}),
+                    _line("b2", "B", {"close": 3, "open": 1})]) + "\n"
+_LONG = _line("wide", "M", {f"call_{j:05d}": j + 1 for j in range(900)})  # about 17 KB
+
+
+def _edge_files():
+    """(name, bytes) for line-end, blank-line, long-line and chunk-edge inputs."""
+    yield "lf", _PLAIN.encode()
+    yield "crlf", _PLAIN.replace("\n", "\r\n").encode()
+    yield "crlf-no-final", _PLAIN.replace("\n", "\r\n").rstrip("\n").encode()
+    yield "no-final-newline", _PLAIN.rstrip("\n").encode()
+    yield "empty", b""
+    yield "only-newlines", b"\n\n\r\n \t\n"
+    yield "blank-lines", ("\n \n" + _PLAIN.replace("\n", "\n\t\n\n") + "   ").encode()
+    yield "cr-between-tokens", _PLAIN.replace(", ", ",\r ").encode()
+    yield "cr-in-string", (_PLAIN + _line("b|x", "B", {}).replace("|", "\r")).encode()  # raw
+    yield "cr-only-line-ends", _PLAIN.replace("\n", "\r").encode()
+    yield "separators-in-strings", (_PLAIN + _line("m\u2028\x85\u2029", "M", {
+        "op\x85en": 1, "re\u2028ad": 2}, ensure_ascii=False) + "\n").encode()
+    yield "long-line", ("\n".join([_LONG, _LONG.replace('"wide"', '"wide2"')]) + "\n").encode()
+    yield "long-line-bad-total", (_PLAIN + _line("w", "M", {f"c{j}": 1 for j in range(2000)},
+                                                  total=1) + "\n").encode()
+    for char in ("\u00e9", "\u20ac", "\U0001f600"):  # 2, 3 and 4 UTF-8 bytes
+        width = len(char.encode())
+        for before in range(1, width + 1):  # bytes of char that land before the edge
+            pad = 8192 - before - (_line("", "M", {}).index('""') + 1)
+            first = _line("x" * pad + char, "M", {"open": 1}, ensure_ascii=False)
+            assert first.encode().index(char.encode()) == 8192 - before
+            yield f"edge-{width}-bytes-{before}-before", (first + "\n" + _PLAIN).encode()
+
+
+@pytest.mark.parametrize("content", [pytest.param(c, id=n) for n, c in _edge_files()])
+def test_reader_matches_the_whole_text_reader(tmp_path, content):
+    """The same Corpus, or a ConfigError with the same message."""
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(content)
+    try:
+        want = whole_text_read_records_jsonl(path)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as got:
+            read_records_jsonl(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_corpus(read_records_jsonl(path), want)
+
+
+def test_undecodable_byte_names_its_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    bad = _line("caf\xe9", "M", {}, ensure_ascii=False).encode("latin-1")
+    path.write_bytes((_LONG + "\n\n").encode() + bad + b"\n")
+    with pytest.raises(ConfigError) as got:
+        read_records_jsonl(path)
+    assert str(got.value) == (
+        f"cannot read record file {str(path)!r}: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 18: invalid continuation byte (line 3, position counted from its start)")
+    whole_text_position = len(_LONG) + 2 + 18
+    with pytest.raises(ConfigError, match=f"in position {whole_text_position}:"):
+        whole_text_read_records_jsonl(path)
+
+
+def test_bad_line_before_an_undecodable_byte_wins(tmp_path):
+    # The whole-text reader decoded everything before parsing any line.
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"not json\n" + _LONG.encode() + b"\n\xe9\n")
+    with pytest.raises(ConfigError, match="bad record on line 1"):
+        read_records_jsonl(path)
+    with pytest.raises(ConfigError, match="can't decode byte 0xe9"):
+        whole_text_read_records_jsonl(path)
+
+
+def test_unreadable_record_file(tmp_path):
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        with pytest.raises(ConfigError) as got:
+            read_records_jsonl(path)
+        with pytest.raises(ConfigError) as want:
+            whole_text_read_records_jsonl(path)
+        assert str(got.value) == str(want.value)
+
+
+# ---- the whole-text reader this module's reader replaced, kept verbatim as its judge ----
+
+
+def _split_lines(text: str) -> Iterator[str]:
+    """The pieces of text.split("\\n"), one at a time, so they are never
+    all held at once."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def whole_text_read_records_jsonl(path: str | Path) -> Corpus:
+    """Read the write_records_jsonl layout; a bad line is a ConfigError naming it.
+
+    sample_id must be a string, counts a JSON object of JSON integers, each
+    at least 1 and below 2**63, and total their sum: a count of 1.5, "3" or
+    true is an error, not 1 or 3. total is checked, not stored.
+    """
+    sample_ids: list[str] = []
+    labels: list[str] = []
+    index: dict[str, int] = {}  # call name -> column id, in first-seen order
+    indptr = array("q", [0])
+    indices = array("i")  # C int: np.int32
+    counts = array("q")
+    # Split at "\n" only (JSON skips a "\r"): strings may hold U+2028 etc.
+    lines = _split_lines(read_input(path, "record file"))
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            sample_id, label, row, total = (
+                obj["sample_id"], obj["label"], obj["counts"], obj["total"])
+            if not (type(sample_id) is str and type(row) is dict
+                    and type(total) is int
+                    and set(map(type, row.values())) <= {int}):
+                raise ConfigError(
+                    "sample_id must be a string, counts an object of integers "
+                    "and total an integer"
+                )
+            if label not in LABELS:
+                raise ConfigError(f"label must be one of {LABELS}, got {label!r}")
+            n = len(row)
+            try:
+                ids = np.fromiter(map(index.__getitem__, row), np.int32, n)
+            except KeyError:  # the line brings a call no earlier line had
+                for name in row:
+                    index.setdefault(name, len(index))
+                ids = np.fromiter(map(index.__getitem__, row), np.int32, n)
+            values = np.fromiter(row.values(), np.int64, n)
+            if n and values.min() < 1:
+                name = next(name for name, v in row.items() if v < 1)
+                raise ConfigError(f"count for {name!r} must be >= 1, got {row[name]}")
+            if total != sum(row.values()):
+                raise ConfigError("total_calls does not equal the sum of counts")
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError,
+                ConfigError) as exc:
+            raise ConfigError(
+                f"bad record on line {lineno} of {str(path)!r}: {exc}"
+            ) from exc
+        sample_ids.append(sample_id)
+        labels.append(label)
+        indices.frombytes(ids.tobytes())
+        counts.frombytes(values.tobytes())
+        indptr.append(len(counts))
+    # Column ids become positions in the sorted vocabulary.
+    calls = sorted(index)
+    remap = np.empty(len(calls), dtype=np.int32)
+    remap[[index[name] for name in calls]] = np.arange(len(calls))
+    return Corpus(
+        sample_ids=tuple(sample_ids),
+        labels=tuple(labels),
+        calls=tuple(calls),
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=remap[np.frombuffer(indices, dtype=np.int32)],
+        counts=np.frombuffer(counts, dtype=np.int64),
+    )

@@ -23,6 +23,7 @@ from callselect import (
     relative_frequency_table,
 )
 
+from callselect.featurize import _minmax_in_place
 from callselect.oracles import reference_term_frequencies
 
 from conftest import GOLDEN_BINS, GOLDEN_CALLS, GOLDEN_IDS, GOLDEN_LABELS
@@ -326,8 +327,43 @@ def test_tf_fill_matches_per_count_reference():
         fvt = build_fvt(records, min_df=min_df)
         rel = relative_frequency_table(records, min_df=min_df)
         assert fvt.calls == rel.calls == tuple(vocab), case
-        assert np.array_equal(fvt.weights, minmax_columns(tf * idf)), case
-        assert np.array_equal(rel.weights, tf), case
+        assert _same_bits(fvt.weights, minmax_columns(tf * idf)), case
+        assert _same_bits(rel.weights, tf), case
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("min_df", [1, 2])
+def test_in_place_weights_match_the_minmax_oracle(min_df):
+    # "half" is half of every sample's calls (constant non-zero tf, idf 0),
+    # "all" is in every sample with varying tf (idf 0), "once" is pruned
+    # at min_df 2 and "some" varies.
+    records = [
+        _rec("a", "M", {"half": 3, "all": 1, "some": 2}),
+        _rec("b", "B", {"half": 5, "all": 4, "once": 1}),
+        _rec("c", "M", {"half": 2, "all": 2}),
+        _rec("d", "B", {"half": 4, "all": 1, "some": 3}),
+    ]
+    vocab, df, tf = reference_term_frequencies(records, min_df)
+    assert ("once" in vocab) == (min_df == 1) and np.all(tf[:, vocab.index("half")] == 0.5)
+    idf = np.array([math.log(len(records) / df[c]) for c in vocab])
+    fvt = build_fvt(records, min_df=min_df)
+    assert _same_bits(fvt.weights, minmax_columns(tf * idf))
+    for call in ("half", "all"):  # constant columns are +0.0
+        assert not np.signbit(fvt.column(call)).any() and not fvt.column(call).any()
+
+
+@given(st.lists(st.lists(st.floats(0, 1e6), min_size=4, max_size=4), min_size=1, max_size=12),
+       st.floats(1e-9, 1e6))
+def test_minmax_in_place_is_the_oracle_bit_for_bit(rows, constant):
+    m = np.array(rows, dtype=np.float64) + 0.0  # no -0.0, as in tf-idf
+    m[:, 1] = constant  # a constant non-zero column
+    m[:, 2] = 0.0
+    want = minmax_columns(m)
+    _minmax_in_place(m)
+    assert _same_bits(m, want)
 
 
 def test_min_df_leaves_every_kept_column_bit_for_bit():

@@ -22,7 +22,7 @@ from callselect.baselines import (
     information_gain,
     symmetric_uncertainty,
 )
-from callselect.ztest import ClassStats, class_stats
+from callselect.ztest import _STATS_BLOCK, ClassStats, class_stats
 
 
 # --- reference: the per-call scorers, verbatim -----------------------------
@@ -180,6 +180,15 @@ def test_large_tables_bitwise():
     reversed_calls = list(reversed(fvt.calls))
     assert [_bits(astuple(s)) for s in class_stats(fvt, reversed_calls)] == [
         _bits(astuple(ref_class_stats(fvt, c))) for c in reversed_calls]
+
+
+def test_class_stats_across_blocks_bitwise():
+    # Calls in a shuffled order over several column blocks, the last one short.
+    rng = np.random.default_rng(16)
+    fvt = _fvt(rng, 301, 3 * _STATS_BLOCK + 5)
+    calls = [str(c) for c in rng.permutation(fvt.calls)]
+    assert [_bits(astuple(s)) for s in class_stats(fvt, calls)] == [
+        _bits(astuple(ref_class_stats(fvt, c))) for c in calls]
 
 
 @pytest.mark.parametrize("counts", [[5, 5], [7], [0, 4], [0, 0], [1, 1, 1, 1],
