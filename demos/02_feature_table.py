@@ -7,7 +7,7 @@ table maps each weight onto B1..B4 quarters.
 
 import numpy as np
 
-from callselect import CallCountRecord, build_fvt, discretize
+from callselect import CallCountRecord, Corpus, build_fvt, discretize
 
 
 def record(sample_id, label, **counts):
@@ -20,12 +20,12 @@ def record(sample_id, label, **counts):
 
 
 def main() -> None:
-    corpus = [
+    corpus = Corpus.from_records([
         record("mal-0", "M", ptrace=6, socket=3, read=2),
         record("mal-1", "M", ptrace=4, socket=1, read=4, write=1),
         record("ben-0", "B", read=8, write=5),
         record("ben-1", "B", read=3, write=6, stat=2),
-    ]
+    ])
 
     fvt = build_fvt(corpus)
     print("vocabulary:", fvt.calls)

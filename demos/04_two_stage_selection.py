@@ -13,12 +13,12 @@ from callselect.synth import default_spec
 
 def main() -> None:
     spec = default_spec()
-    records, key = generate(spec)
-    print(f"corpus: {len(records)} samples, {spec.vocabulary_size} calls")
+    corpus, key = generate(spec)
+    print(f"corpus: {len(corpus.sample_ids)} samples, {spec.vocabulary_size} calls")
     print(f"planted malware calls: {key.planted_malware_calls}")
     print(f"planted benign calls:  {key.planted_benign_calls}")
 
-    fvt = build_fvt(records)
+    fvt = build_fvt(corpus)
     reduct = generate_reduct(discretize(fvt))
     print(f"\nstage 1 reduct ({len(reduct.calls)} calls): {reduct.calls}")
 

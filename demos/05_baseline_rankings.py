@@ -10,8 +10,8 @@ from callselect.synth import default_spec
 
 
 def main() -> None:
-    records, key = generate(default_spec())
-    fvt = build_fvt(records)
+    corpus, key = generate(default_spec())
+    fvt = build_fvt(corpus)
     planted = set(key.planted_malware_calls) | set(key.planted_benign_calls)
 
     for method in ("IG", "CHI", "SU"):

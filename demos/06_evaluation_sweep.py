@@ -11,8 +11,8 @@ from callselect.synth import default_spec
 
 def main() -> None:
     spec = default_spec()
-    records, _ = generate(spec)
-    fvt = build_fvt(records)
+    corpus, _ = generate(spec)
+    fvt = build_fvt(corpus)
 
     ranking = eval_ranking(filter_calls(fvt, fvt.calls))
     print(f"ranking head: {ranking[:8]}")

@@ -20,9 +20,9 @@ from .errors import CallSelectError, ConfigError, InvariantError
 from .featurize import (
     FeatureVectorTable,
     build_fvt,
+    build_fvt_and_relative_frequencies,
     discretize,
     read_decision_table_csv,
-    relative_frequency_table,
 )
 from .ingest import (
     ingest_corpus,
@@ -77,7 +77,7 @@ def _cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = ingest_corpus(read_manifest(args.manifest))
     records_path = out_dir / "records.jsonl"
-    write_records_jsonl(result.records, records_path)
+    write_records_jsonl(result.corpus, records_path)
     totals: dict[str, int] = {}
     files = []
     for s in result.summaries:
@@ -90,7 +90,7 @@ def _cmd_ingest(args) -> int:
             "config": {"command": "ingest"},
             "files": files,
             "totals": totals,
-            "records": len(result.records),
+            "records": len(result.corpus.sample_ids),
         },
         summary_path,
     )
@@ -181,12 +181,11 @@ def _cmd_select(args) -> int:
             raise ConfigError("relative frequencies are unavailable for a pre-binned table")
         if args.min_df != 1:
             raise ConfigError("--min-df does not apply to a pre-binned table")
+    elif args.z_weights == "relfreq" and args.method == "rsst":
+        fvt, z_table = build_fvt_and_relative_frequencies(
+            read_records_jsonl(args.records), min_df=args.min_df)
     else:
-        records = read_records_jsonl(args.records)
-        if args.z_weights == "relfreq" and args.method == "rsst":
-            z_table = relative_frequency_table(records, min_df=args.min_df)
-        fvt = build_fvt(records, min_df=args.min_df)
-        del records  # selection reads only the tables
+        fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump_json(select_report(fvt, config, z_table), out)
@@ -254,9 +253,8 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
-    records, _ = generate(spec)
     records_path = out_dir / "records.jsonl"
-    write_records_jsonl(records, records_path)
+    write_records_jsonl(generate(spec)[0], records_path)
     key_path = out_dir / "answer_key.json"
     shared = {name: getattr(spec, name) for name in ("effect_size", "noise_std", "seed")}
     _dump_json(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .ingest import CallCountRecord, Corpus, read_input
+from .ingest import Corpus, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
 
@@ -180,22 +180,17 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
     )
 
 
-def _corpus(data: Corpus | Sequence[CallCountRecord], min_df: int) -> Corpus:
-    if min_df < 1:
-        raise ConfigError(f"min_df must be >= 1, got {min_df}")
-    corpus = data if isinstance(data, Corpus) else Corpus.from_records(data)
-    if set(corpus.labels) != {"M", "B"}:
-        raise ConfigError("corpus must contain both labels M and B")
-    return corpus
-
-
 def _term_frequencies(
     corpus: Corpus, min_df: int
-) -> tuple[tuple[str, ...], list[int], np.ndarray]:
-    """The vocabulary (calls in at least min_df samples, sorted), its
-    document frequencies and the tf matrix: count / the sample's total per
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The vocabulary (calls in at least min_df samples, sorted), its idf
+    ln(r / df) and the tf matrix: count / the sample's total per
     (sample, vocabulary call). Rows are filled one slice at a time; an
     index array over every count would cost 8-16 bytes per count."""
+    if min_df < 1:
+        raise ConfigError(f"min_df must be >= 1, got {min_df}")
+    if set(corpus.labels) != {"M", "B"}:
+        raise ConfigError("corpus must contain both labels M and B")
     df = np.bincount(corpus.indices, minlength=len(corpus.calls))
     kept = df >= min_df
     vocab = tuple(compress(corpus.calls, kept.tolist()))
@@ -217,7 +212,7 @@ def _term_frequencies(
             keep = idx >= 0
             idx, values = idx[keep], values[keep]
         row[idx] = values
-    return vocab, df[kept].tolist(), tf
+    return vocab, np.array([math.log(len(tf) / d) for d in df[kept].tolist()]), tf
 
 
 def _minmax_in_place(m: np.ndarray) -> None:
@@ -229,35 +224,30 @@ def _minmax_in_place(m: np.ndarray) -> None:
     m /= np.where(span > 0, span, 1.0)
 
 
-def build_fvt(
-    records: Corpus | Sequence[CallCountRecord], min_df: int = 1
-) -> FeatureVectorTable:
+def build_fvt(corpus: Corpus, min_df: int = 1) -> FeatureVectorTable:
     """tf-idf weighted feature table, one row per sample, columns sorted by call name."""
-    corpus = _corpus(records, min_df)
-    vocab, df, tf = _term_frequencies(corpus, min_df)
-    r = len(corpus.sample_ids)
-    tf *= np.array([math.log(r / d) for d in df])  # the weights, in the tf buffer
+    vocab, idf, tf = _term_frequencies(corpus, min_df)
+    tf *= idf  # the weights, in the tf buffer
     _minmax_in_place(tf)
-    return FeatureVectorTable(
-        sample_ids=corpus.sample_ids,
-        calls=vocab,
-        weights=tf,
-        labels=corpus.labels,
-    )
+    return FeatureVectorTable(corpus.sample_ids, vocab, tf, corpus.labels)
 
 
-def relative_frequency_table(
-    records: Corpus | Sequence[CallCountRecord], min_df: int = 1
-) -> FeatureVectorTable:
+def relative_frequency_table(corpus: Corpus, min_df: int = 1) -> FeatureVectorTable:
     """Plain term-frequency table (no idf, no normalization); values already in [0, 1]."""
-    corpus = _corpus(records, min_df)
     vocab, _, tf = _term_frequencies(corpus, min_df)
-    return FeatureVectorTable(
-        sample_ids=corpus.sample_ids,
-        calls=vocab,
-        weights=tf,
-        labels=corpus.labels,
-    )
+    return FeatureVectorTable(corpus.sample_ids, vocab, tf, corpus.labels)
+
+
+def build_fvt_and_relative_frequencies(
+    corpus: Corpus, min_df: int = 1
+) -> tuple[FeatureVectorTable, FeatureVectorTable]:
+    """build_fvt and relative_frequency_table from one tf matrix: the
+    weights are tf * idf, a new matrix, min-max normalized in place."""
+    vocab, idf, tf = _term_frequencies(corpus, min_df)
+    weights = tf * idf
+    _minmax_in_place(weights)
+    return (FeatureVectorTable(corpus.sample_ids, vocab, weights, corpus.labels),
+            FeatureVectorTable(corpus.sample_ids, vocab, tf, corpus.labels))
 
 
 def discretize(fvt: FeatureVectorTable) -> DecisionTable:

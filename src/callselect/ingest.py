@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class TraceLine:
 
 @dataclass(frozen=True)
 class CallCountRecord:
-    """Bag-of-calls summary of one trace."""
+    """One log's call counts from parse_log_detailed; ingest_corpus packs them into a Corpus."""
 
     sample_id: str
     label: str
@@ -83,7 +83,7 @@ class Corpus:
     counts: np.ndarray  # int64, each >= 1
 
     @classmethod
-    def from_records(cls, records: Sequence[CallCountRecord]) -> Corpus:
+    def from_records(cls, records: list[CallCountRecord]) -> Corpus:
         """Pack records in order; each row keeps its record's key order."""
         calls = sorted({name for r in records for name in r.counts})
         col = {name: j for j, name in enumerate(calls)}
@@ -115,7 +115,7 @@ class ParseSummary:
 
 @dataclass(frozen=True)
 class IngestResult:
-    records: list[CallCountRecord]
+    corpus: Corpus
     summaries: list[ParseSummary]
 
 
@@ -187,7 +187,7 @@ def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
         )
         records.append(record)
         summaries.append(summary)
-    return IngestResult(records=records, summaries=summaries)
+    return IngestResult(corpus=Corpus.from_records(records), summaries=summaries)
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
@@ -225,15 +225,15 @@ def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     return rows
 
 
-def write_records_jsonl(records: Iterable[CallCountRecord], path: str | Path) -> None:
+def write_records_jsonl(corpus: Corpus, path: str | Path) -> None:
+    """One JSON object per sample, keys sorted; total is the sum of its counts."""
+    bounds = corpus.indptr.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            obj = {
-                "sample_id": r.sample_id,
-                "label": r.label,
-                "counts": r.counts,
-                "total": r.total_calls,
-            }
+        for sample_id, label, a, b in zip(corpus.sample_ids, corpus.labels, bounds, bounds[1:]):
+            counts = corpus.counts[a:b].tolist()
+            names = map(corpus.calls.__getitem__, corpus.indices[a:b].tolist())
+            obj = {"sample_id": sample_id, "label": label,
+                   "counts": dict(zip(names, counts)), "total": sum(counts)}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 

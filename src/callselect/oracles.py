@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .featurize import DecisionTable
 from .forest import TreeEnsemble, _check_fit, _Draws, _gini, _mtry
-from .ingest import CallCountRecord, TraceLine
+from .ingest import TraceLine
 
 EXHAUSTIVE_ATTR_LIMIT = 15
 REFERENCE_FOREST_LIMIT = 20_000  # trees x rows
@@ -202,24 +202,24 @@ def minmax_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def reference_term_frequencies(
-    records: Sequence[CallCountRecord], min_df: int
+    rows: Sequence[dict], min_df: int
 ) -> tuple[list[str], dict[str, int], np.ndarray]:
-    """The vocabulary (calls in at least min_df records, sorted), each
-    call's document frequency and the tf matrix, walked one count at a time."""
+    """The vocabulary (calls in at least min_df rows, sorted), each call's df and
+    the tf matrix, walked one count at a time over records.jsonl rows (dicts)."""
     df: dict[str, int] = {}
-    for r in records:
-        for name in r.counts:
+    for row in rows:
+        for name in row["counts"]:
             df[name] = df.get(name, 0) + 1
     vocab = sorted(name for name, d in df.items() if d >= min_df)
     col = {name: j for j, name in enumerate(vocab)}
-    tf = np.zeros((len(records), len(vocab)), dtype=np.float64)
-    for i, r in enumerate(records):
-        if r.total_calls == 0:
+    tf = np.zeros((len(rows), len(vocab)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        if row["total"] == 0:
             continue
-        for name, n in r.counts.items():
+        for name, n in row["counts"].items():
             j = col.get(name)
             if j is not None:
-                tf[i, j] = n / r.total_calls
+                tf[i, j] = n / row["total"]
     return vocab, df, tf
 
 

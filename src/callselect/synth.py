@@ -16,7 +16,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import CallCountRecord
+from .ingest import Corpus
 
 _NULL_MEAN_RANGE = (2.0, 10.0)
 _PLANTED_MEAN_RANGE = (1.0, 2.0)
@@ -90,8 +90,8 @@ def default_spec(
     return spec
 
 
-def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], SynthSpec]:
-    """Deterministically draw the corpus; record order is all M then all B.
+def generate(spec: SynthSpec) -> tuple[Corpus, SynthSpec]:
+    """Deterministically draw the corpus; sample order is all M then all B.
     The spec comes back as the answer key: it names the planted calls."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -106,20 +106,32 @@ def generate(spec: SynthSpec) -> tuple[list[CallCountRecord], SynthSpec]:
     mean_m = base + spec.effect_size * mal_mask
     mean_b = base + spec.effect_size * ben_mask
 
-    records: list[CallCountRecord] = []
-    for label, mean in (("M", mean_m), ("B", mean_b)):
+    # Sorted-name columns ("c1000" before "c101"): row ids ascend, as when read back.
+    order = sorted(range(len(vocab)), key=vocab.__getitem__)
+    columns = np.arange(len(vocab), dtype=np.int32)
+    occurs = np.zeros(len(vocab), dtype=bool)
+    row_sizes, indices, counts = [], [], []
+    for mean in (mean_m, mean_b):  # one class at a time
         raw = rng.normal(loc=mean, scale=spec.noise_std,
                          size=(spec.samples_per_class, len(vocab)))
-        counts = np.clip(np.rint(raw), 0, None).astype(np.int64)
-        totals = counts.sum(axis=1).tolist()
-        for i, row in enumerate(counts):
-            row = row.tolist()  # Python ints; compress keeps the nonzero ones
-            records.append(
-                CallCountRecord(
-                    sample_id=f"{label}{i:04d}",
-                    label=label,
-                    counts=dict(compress(zip(vocab, row), row)),
-                    total_calls=totals[i],
-                )
-            )
-    return records, spec
+        drawn = np.clip(np.rint(raw, out=raw), 0, None, out=raw).astype(np.int64)
+        if order != sorted(order):
+            drawn = drawn[:, order]
+        present = drawn > 0
+        occurs |= present.any(axis=0)
+        row_sizes.append(present.sum(axis=1))
+        indices.append(np.broadcast_to(columns, drawn.shape)[present])
+        counts.append(drawn[present])
+        del raw, drawn, present  # before the next class is drawn
+    indices = np.concatenate(indices)
+    if not occurs.all():  # only calls that occur in some sample are columns
+        indices = (np.cumsum(occurs, dtype=np.int32) - 1)[indices]
+    n = spec.samples_per_class
+    return Corpus(
+        sample_ids=tuple(f"{label}{i:04d}" for label in "MB" for i in range(n)),
+        labels=("M",) * n + ("B",) * n,
+        calls=tuple(compress(sorted(vocab), occurs.tolist())),
+        indptr=np.concatenate([[0], *row_sizes]).cumsum(dtype=np.int64),
+        indices=indices,
+        counts=np.concatenate(counts),
+    ), spec

@@ -1,11 +1,13 @@
 """Shared fixtures: the seven-sample golden decision table, a corpus
-comparison and the hypothesis profile."""
+comparison, a corpus's written rows and the hypothesis profile."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from callselect import Corpus, DecisionTable
+from callselect import Corpus, DecisionTable, write_records_jsonl
 
 settings.register_profile(
     "suite",
@@ -24,6 +26,13 @@ def assert_same_corpus(got: Corpus, want: Corpus) -> None:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == dtype, name
         assert np.array_equal(a, b), name
+
+
+def written_rows(corpus: Corpus, path) -> list[dict]:
+    """The corpus's rows as write_records_jsonl writes them to path, parsed
+    back with json.loads: plain dicts, read without the CSR arrays."""
+    write_records_jsonl(corpus, path)
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 # Three calls, seven samples. Known by hand:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import callselect
+from callselect import featurize
 from callselect.cli import METHODS, _surrogate_fvt, main, select_report
 
 DATA = Path(__file__).parent / "data"
@@ -275,9 +276,31 @@ def test_select_requires_exactly_one_input(capsys, tmp_path):
 @pytest.fixture
 def synth_records(tmp_path):
     path = tmp_path / "records.jsonl"
-    records, _ = callselect.generate(callselect.default_spec(samples_per_class=8, vocabulary_size=8))
-    callselect.write_records_jsonl(records, path)
+    corpus, _ = callselect.generate(callselect.default_spec(samples_per_class=8, vocabulary_size=8))
+    callselect.write_records_jsonl(corpus, path)
     return path
+
+
+@pytest.mark.parametrize("options", [
+    ["--method", "rsst", "--z-weights", "relfreq"],
+    ["--method", "rsst", "--z-weights", "relfreq", "--z-candidates", "all", "--min-df", "2"],
+    ["--method", "rsst"],
+    ["--method", "ig"],
+], ids=["rsst-relfreq", "rsst-relfreq-all-min-df-2", "rsst", "ig"])
+def test_select_builds_the_tf_matrix_once(capsys, tmp_path, monkeypatch, synth_records, options):
+    # The relfreq z stage reads the tf matrix that the tf-idf weights are built from.
+    built = []
+    term_frequencies = featurize._term_frequencies
+
+    def counted(*args):
+        built.append(args)
+        return term_frequencies(*args)
+
+    monkeypatch.setattr(featurize, "_term_frequencies", counted)
+    code, out, err = _run(capsys, "select", "--records", str(synth_records), *options,
+                          "--out", str(tmp_path / "sel.json"))
+    assert code == 0, err
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", ["--records", "--decision-table"], ids=["records", "table"])

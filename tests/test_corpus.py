@@ -1,7 +1,9 @@
 """The columnar corpus: the records JSONL reader against Corpus.from_records
-and against the whole-text reader it replaced, tf tables from a Corpus and
-from records against the per-count reference, and the reader's memory."""
+and against the whole-text reader it replaced, each producer's Corpus
+against the Corpus of the file it writes, tf tables from a Corpus against
+the per-count reference, and the reader's memory."""
 
+import hashlib
 import json
 import math
 import tempfile
@@ -19,6 +21,7 @@ from callselect import (
     ConfigError,
     Corpus,
     build_fvt,
+    ingest_corpus,
     minmax_columns,
     read_records_jsonl,
     relative_frequency_table,
@@ -28,44 +31,95 @@ from callselect.ingest import LABELS, read_input
 from callselect.oracles import reference_term_frequencies
 from callselect.synth import default_spec, generate
 
-from conftest import assert_same_corpus
-# _random_corpus: unsorted keys, empty rows, rare calls
-from test_featurize import _random_corpus, _rec, _same_bits
+from conftest import assert_same_corpus, written_rows
+# _random_rows: unsorted keys, empty rows, rare calls
+from test_featurize import _corpus, _random_rows, _rec, _same_bits
 
 
-def _check_round_trip(records, path, min_df):
-    """Written then read, the records give the Corpus that from_records packs
-    (write_records_jsonl sorts each record's keys), and both inputs give
-    the reference tf and tf-idf tables bit for bit."""
-    write_records_jsonl(records, path)
+def _check_round_trip(rows, path, min_df):
+    """Packed, written and read, the rows give the Corpus that from_records
+    packs from them with sorted keys (write_records_jsonl sorts each row's
+    keys), and both corpora give the reference tf and tf-idf tables bit for
+    bit."""
+    packed = _corpus(rows)
+    write_records_jsonl(packed, path)
     corpus = read_records_jsonl(path)
-    as_written = [_rec(r.sample_id, r.label, dict(sorted(r.counts.items()))) for r in records]
-    assert_same_corpus(corpus, Corpus.from_records(as_written))
-    vocab, df, tf = reference_term_frequencies(records, min_df)
+    as_written = [_rec(r["sample_id"], r["label"], dict(sorted(r["counts"].items()))) for r in rows]
+    assert_same_corpus(corpus, _corpus(as_written))
+    vocab, df, tf = reference_term_frequencies(rows, min_df)
     if not vocab:
-        for source in (corpus, records):
+        for source in (corpus, packed):
             with pytest.raises(ConfigError, match="empty vocabulary"):
                 build_fvt(source, min_df=min_df)
         return
-    idf = np.array([math.log(len(records) / df[c]) for c in vocab])
+    idf = np.array([math.log(len(rows) / df[c]) for c in vocab])
     for build, want in ((build_fvt, minmax_columns(tf * idf)), (relative_frequency_table, tf)):
-        for source in (corpus, records):
+        for source in (corpus, packed):
             table = build(source, min_df=min_df)
             assert table.calls == tuple(vocab)
-            assert table.sample_ids == tuple(r.sample_id for r in records)
-            assert table.labels == tuple(r.label for r in records)
+            assert table.sample_ids == tuple(r["sample_id"] for r in rows)
+            assert table.labels == tuple(r["label"] for r in rows)
             assert _same_bits(table.weights, want)
 
 
 def test_round_trip_on_seeded_corpora(tmp_path):
     for case in range(120):
         rng = np.random.default_rng(case)
-        _check_round_trip(_random_corpus(rng), tmp_path / "r.jsonl", int(rng.integers(1, 4)))
+        _check_round_trip(_random_rows(rng), tmp_path / "r.jsonl", int(rng.integers(1, 4)))
     for seed in range(3):
-        records, _ = generate(default_spec(samples_per_class=20, vocabulary_size=30,
-                                           noise_std=4.0, seed=seed))
+        corpus, _ = generate(default_spec(samples_per_class=20, vocabulary_size=30,
+                                          noise_std=4.0, seed=seed))
+        rows = written_rows(corpus, tmp_path / "synth.jsonl")
         for min_df in (1, 25):
-            _check_round_trip(records, tmp_path / "r.jsonl", min_df)
+            _check_round_trip(rows, tmp_path / "r.jsonl", min_df)
+
+
+def _check_corpus_of_its_file(corpus, path):
+    """The producer's Corpus equals the Corpus read from the file it writes,
+    and the two give build_fvt weights with the same bits."""
+    write_records_jsonl(corpus, path)
+    back = read_records_jsonl(path)
+    assert_same_corpus(corpus, back)
+    assert _same_bits(build_fvt(corpus).weights, build_fvt(back).weights)
+
+
+# SHA-256 of each spec's records.jsonl as the record-dict generator wrote it.
+@pytest.mark.parametrize("spec, digest", [
+    (default_spec(), "d49fb6e39b8491bf9a950bdb5779379db472e76725598c9e56769f9d7933317b"),
+    (default_spec(vocabulary_size=1200),
+     "43c8b452148691c2993ab090905e2e1aa47573b7f717e55e3b53f0c9b49eef4c"),
+    (default_spec(samples_per_class=1, vocabulary_size=8, planted_malware=3, planted_benign=2,
+                  effect_size=0.0, noise_std=2.0, seed=2),
+     "05c950c067b2811c711c7c761391311e20de7d1c96eb7bfabbebc939c5502a72"),
+], ids=["default", "1200-calls", "absent-calls"])
+def test_synth_corpus_is_the_corpus_of_its_file(tmp_path, spec, digest):
+    corpus, _ = generate(spec)
+    _check_corpus_of_its_file(corpus, tmp_path / "records.jsonl")
+    assert hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest() == digest
+    if spec.vocabulary_size == 1200:  # sorted as strings
+        j = corpus.calls.index("c100")
+        assert corpus.calls[j:j + 3] == ("c100", "c1000", "c1001")
+        assert corpus.calls.index("c101") == j + 11
+    if spec.seed == 2:  # only calls that occur are columns
+        assert "c001" not in corpus.calls and "c003" not in corpus.calls
+        assert len(corpus.calls) == 6
+
+
+def test_ingest_corpus_is_the_corpus_of_its_file(tmp_path):
+    logs = {
+        "m1": 'openat(AT_FDCWD, "/x", O_RDONLY) = 3\nread(3, "", 1) = 0\nread(3, "", 1) = 0\n',
+        "b1": "",  # no calls at all
+        "b2": "zz_last(1) = 0\n--- SIGCHLD {} ---\nclose(3) = 0\n",  # first seen here
+        "m2": "1234  close(3) = 0\nread(0, \"\", 1 <unfinished ...>\n+++ exited with 0 +++\n",
+    }
+    manifest = []
+    for sample_id, text in logs.items():
+        (tmp_path / f"{sample_id}.log").write_text(text)
+        manifest.append((str(tmp_path / f"{sample_id}.log"), sample_id[0].upper(), sample_id))
+    corpus = ingest_corpus(manifest).corpus
+    assert corpus.sample_ids == tuple(logs)
+    assert corpus.calls == ("close", "openat", "read", "zz_last")
+    _check_corpus_of_its_file(corpus, tmp_path / "records.jsonl")
 
 
 _NAMES = st.text(alphabet=st.sampled_from('ab"\\\u2028\x85\ré'), max_size=4)
@@ -99,14 +153,14 @@ def test_duplicated_key_keeps_the_last(tmp_path):
     p.write_text('{"sample_id": "a", "label": "M", "counts": {"open": 5, "open": 2}, "total": 2}\n'
                  '{"sample_id": "b", "label": "B", "counts": {}, "total": 0}\n')
     assert_same_corpus(read_records_jsonl(p),
-                       Corpus.from_records([_rec("a", "M", {"open": 2}), _rec("b", "B", {})]))
+                       _corpus([_rec("a", "M", {"open": 2}), _rec("b", "B", {})]))
 
 
 def test_reader_memory_is_a_small_multiple_of_the_file(tmp_path):
-    records, _ = generate(default_spec(samples_per_class=500, vocabulary_size=120))
+    corpus, _ = generate(default_spec(samples_per_class=500, vocabulary_size=120))
     path = tmp_path / "records.jsonl"
-    write_records_jsonl(records, path)
-    del records
+    write_records_jsonl(corpus, path)
+    del corpus
     size = path.stat().st_size
     tracemalloc.start()
     try:

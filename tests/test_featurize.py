@@ -12,6 +12,7 @@ from callselect import (
     BIN_LABELS,
     CallCountRecord,
     ConfigError,
+    Corpus,
     DecisionTable,
     FeatureVectorTable,
     InvariantError,
@@ -30,21 +31,24 @@ from conftest import GOLDEN_BINS, GOLDEN_CALLS, GOLDEN_IDS, GOLDEN_LABELS
 
 
 def _rec(sample_id, label, counts):
-    return CallCountRecord(
-        sample_id=sample_id,
-        label=label,
-        counts=counts,
-        total_calls=sum(counts.values()),
-    )
+    """One row in the records.jsonl layout."""
+    return {"sample_id": sample_id, "label": label, "counts": counts,
+            "total": sum(counts.values())}
+
+
+def _corpus(rows):
+    """The rows packed in order, each keeping its key order."""
+    return Corpus.from_records([CallCountRecord(r["sample_id"], r["label"], r["counts"], r["total"])
+                                for r in rows])
 
 
 @pytest.fixture
 def tiny_corpus():
-    return [
+    return _corpus([
         _rec("r1", "M", {"open": 2, "read": 2}),
         _rec("r2", "B", {"read": 5}),
         _rec("r3", "M", {"open": 1, "write": 1}),
-    ]
+    ])
 
 
 def test_tfidf_worked_column(tiny_corpus):
@@ -67,10 +71,10 @@ def test_tfidf_other_columns(tiny_corpus):
 
 def test_full_presence_call_zeroes_out():
     # df == r makes idf = ln(1) = 0, so the column is constant and maps to 0
-    recs = [
+    recs = _corpus([
         _rec("a", "M", {"mmap": 3, "open": 1}),
         _rec("b", "B", {"mmap": 1}),
-    ]
+    ])
     fvt = build_fvt(recs)
     np.testing.assert_array_equal(fvt.column("mmap"), [0.0, 0.0])
     np.testing.assert_allclose(fvt.column("open"), [1.0, 0.0])
@@ -85,12 +89,12 @@ def test_min_df_prunes_rare_calls(tiny_corpus):
 
 def test_corpus_validation():
     with pytest.raises(ConfigError):
-        build_fvt([_rec("a", "M", {"x": 1})])  # single record
+        build_fvt(_corpus([_rec("a", "M", {"x": 1})]))  # single record
     with pytest.raises(ConfigError):
-        build_fvt([_rec("a", "M", {"x": 1}), _rec("b", "M", {"x": 2})])  # one class
+        build_fvt(_corpus([_rec("a", "M", {"x": 1}), _rec("b", "M", {"x": 2})]))  # one class
     with pytest.raises(ConfigError, match="dup"):
         build_fvt(
-            [_rec("dup", "M", {"x": 1}), _rec("dup", "B", {"x": 2})]
+            _corpus([_rec("dup", "M", {"x": 1}), _rec("dup", "B", {"x": 2})])
         )
 
 
@@ -299,8 +303,8 @@ def test_decision_table_csv_rejects_bad_label(tmp_path):
         read_decision_table_csv(p)
 
 
-def _random_corpus(rng):
-    """Records with unsorted count keys, some empty, and rare calls."""
+def _random_rows(rng):
+    """Rows with unsorted count keys, some empty, and rare calls."""
     names = [f"k{j}" for j in range(int(rng.integers(1, 12)))]
     records = []
     for i in range(int(rng.integers(2, 30))):
@@ -316,16 +320,16 @@ def _random_corpus(rng):
 def test_tf_fill_matches_per_count_reference():
     for case in range(150):
         rng = np.random.default_rng(case)
-        records = _random_corpus(rng)
+        records = _random_rows(rng)
         min_df = int(rng.integers(1, 4))
         vocab, df, tf = reference_term_frequencies(records, min_df)
         if not vocab:
             with pytest.raises(ConfigError, match="empty vocabulary"):
-                build_fvt(records, min_df=min_df)
+                build_fvt(_corpus(records), min_df=min_df)
             continue
         idf = np.array([math.log(len(records) / df[c]) for c in vocab])
-        fvt = build_fvt(records, min_df=min_df)
-        rel = relative_frequency_table(records, min_df=min_df)
+        fvt = build_fvt(_corpus(records), min_df=min_df)
+        rel = relative_frequency_table(_corpus(records), min_df=min_df)
         assert fvt.calls == rel.calls == tuple(vocab), case
         assert _same_bits(fvt.weights, minmax_columns(tf * idf)), case
         assert _same_bits(rel.weights, tf), case
@@ -349,7 +353,7 @@ def test_in_place_weights_match_the_minmax_oracle(min_df):
     vocab, df, tf = reference_term_frequencies(records, min_df)
     assert ("once" in vocab) == (min_df == 1) and np.all(tf[:, vocab.index("half")] == 0.5)
     idf = np.array([math.log(len(records) / df[c]) for c in vocab])
-    fvt = build_fvt(records, min_df=min_df)
+    fvt = build_fvt(_corpus(records), min_df=min_df)
     assert _same_bits(fvt.weights, minmax_columns(tf * idf))
     for call in ("half", "all"):  # constant columns are +0.0
         assert not np.signbit(fvt.column(call)).any() and not fvt.column(call).any()
@@ -371,11 +375,11 @@ def test_min_df_leaves_every_kept_column_bit_for_bit():
     # of which depends on the vocabulary, so min_df only drops columns.
     pruned_cases = 0
     for case in range(100):
-        records = _random_corpus(np.random.default_rng(case))
-        full = build_fvt(records)
+        corpus = _corpus(_random_rows(np.random.default_rng(case)))
+        full = build_fvt(corpus)
         for min_df in (2, 3):
             try:
-                kept = build_fvt(records, min_df=min_df)
+                kept = build_fvt(corpus, min_df=min_df)
             except ConfigError as exc:
                 assert "empty vocabulary" in str(exc), case
                 continue

@@ -185,9 +185,12 @@ def test_manifest_roundtrip(tmp_path):
     )
     entries = read_manifest(man)
     result = ingest_corpus(entries)
-    assert [r.sample_id for r in result.records] == ["s-one", "s-two"]
-    assert result.records[0].counts == {"open": 2}
-    assert result.records[1].label == "B"
+    assert result.corpus.sample_ids == ("s-one", "s-two")
+    assert_same_corpus(result.corpus, Corpus.from_records([
+        CallCountRecord(sample_id="s-one", label="M", counts={"open": 2}, total_calls=2),
+        CallCountRecord(sample_id="s-two", label="B", counts={"close": 1}, total_calls=1),
+    ]))
+    assert result.corpus.labels[1] == "B"
 
 
 def test_manifest_bad_header(tmp_path):
@@ -225,7 +228,9 @@ def test_lossy_decode_of_binary_log(tmp_path):
     p = tmp_path / "bin.log"
     p.write_bytes(b'open("\xff\xfe\x00garbled") = 3\nclose(3) = 0\n')
     result = ingest_corpus([(str(p), "B", "s1")])
-    assert result.records[0].counts == {"open": 1, "close": 1}
+    assert_same_corpus(result.corpus, Corpus.from_records([
+        CallCountRecord(sample_id="s1", label="B", counts={"close": 1, "open": 1}, total_calls=2),
+    ]))
 
 
 def test_records_jsonl_roundtrip(tmp_path):
@@ -234,7 +239,7 @@ def test_records_jsonl_roundtrip(tmp_path):
         CallCountRecord(sample_id="b", label="B", counts={}, total_calls=0),
     ]
     p = tmp_path / "records.jsonl"
-    write_records_jsonl(recs, p)
+    write_records_jsonl(Corpus.from_records(recs), p)
     back = read_records_jsonl(p)
     assert_same_corpus(back, Corpus.from_records(recs))
     # the serialized form stays plain JSON-per-line

@@ -1,6 +1,7 @@
-"""Memory guards: the peak that tracemalloc sees in the record reader,
-build_fvt and class_stats, as a multiple of what each one returns or
-reads, and the CLI letting the corpus go before it selects or writes.
+"""Memory guards: the peak that tracemalloc sees in the synth generator,
+the record reader, build_fvt and class_stats, as a multiple of what each
+one returns or reads, and the CLI letting the corpus go before it
+selects or writes.
 The digests cannot see a memory regression; these can."""
 
 import tracemalloc
@@ -36,10 +37,19 @@ def _peak(fn):
 @pytest.fixture(scope="module")
 def records_file(tmp_path_factory):
     """A 1,000 x 120 synth records file."""
-    records, _ = generate(default_spec(samples_per_class=500, vocabulary_size=120))
+    corpus, _ = generate(default_spec(samples_per_class=500, vocabulary_size=120))
     path = tmp_path_factory.mktemp("memory") / "records.jsonl"
-    write_records_jsonl(records, path)
+    write_records_jsonl(corpus, path)
     return path
+
+
+def test_generate_peak_is_a_few_count_matrices():
+    # One record dict per sample held 5.5x the samples x calls int64 matrix.
+    spec = default_spec(samples_per_class=500, vocabulary_size=120)
+    (corpus, _), peak = _peak(lambda: generate(spec))
+    matrix = 2 * spec.samples_per_class * spec.vocabulary_size * 8
+    assert len(corpus.sample_ids) == 1000
+    assert peak <= 4 * matrix, peak / matrix
 
 
 def test_reader_peak_is_below_twice_the_file(records_file):

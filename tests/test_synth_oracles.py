@@ -16,6 +16,7 @@ from callselect import (
 )
 from callselect.cli import main
 from callselect.synth import SynthSpec, default_spec, vocabulary
+from conftest import assert_same_corpus, written_rows
 
 
 def _spec(**kw):
@@ -64,14 +65,16 @@ def test_synth_non_finite_effect_size_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "records.jsonl").exists()
 
 
-def test_generate_shape_and_labels():
-    recs, key = generate(_spec())
+def test_generate_shape_and_labels(tmp_path):
+    corpus, key = generate(_spec())
+    recs = written_rows(corpus, tmp_path / "records.jsonl")
     assert len(recs) == 40
-    assert [r.label for r in recs[:20]] == ["M"] * 20
-    assert [r.label for r in recs[20:]] == ["B"] * 20
-    assert all(r.total_calls == sum(r.counts.values()) for r in recs)
+    assert [r["label"] for r in recs[:20]] == ["M"] * 20
+    assert [r["label"] for r in recs[20:]] == ["B"] * 20
+    assert all(r["total"] == sum(r["counts"].values()) for r in recs)
     # zero counts never appear; the call is simply absent
-    assert all(all(n >= 1 for n in r.counts.values()) for r in recs)
+    assert all(all(n >= 1 for n in r["counts"].values()) for r in recs)
+    assert corpus.counts.min() >= 1
     assert key.planted_malware_calls == ("c000",)
     assert key.planted_benign_calls == ("c001",)
 
@@ -79,14 +82,14 @@ def test_generate_shape_and_labels():
 def test_generate_deterministic():
     a, _ = generate(_spec(seed=9))
     b, _ = generate(_spec(seed=9))
-    assert a == b
+    assert_same_corpus(a, b)
     c, _ = generate(_spec(seed=10))
-    assert a != c
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_generate_unique_sample_ids():
-    recs, _ = generate(_spec())
-    ids = [r.sample_id for r in recs]
+    corpus, _ = generate(_spec())
+    ids = corpus.sample_ids
     assert len(ids) == len(set(ids))
 
 
@@ -99,11 +102,11 @@ def test_default_spec_is_the_documented_corpus():
     assert spec.seed == 42
 
 
-def test_planted_calls_really_shift():
+def test_planted_calls_really_shift(tmp_path):
     spec = _spec(samples_per_class=150, effect_size=5.0, noise_std=1.0)
-    recs, _ = generate(spec)
-    m_mean = np.mean([r.counts.get("c000", 0) for r in recs if r.label == "M"])
-    b_mean = np.mean([r.counts.get("c000", 0) for r in recs if r.label == "B"])
+    recs = written_rows(generate(spec)[0], tmp_path / "records.jsonl")
+    m_mean = np.mean([r["counts"].get("c000", 0) for r in recs if r["label"] == "M"])
+    b_mean = np.mean([r["counts"].get("c000", 0) for r in recs if r["label"] == "B"])
     assert m_mean > b_mean + 3.0
 
 

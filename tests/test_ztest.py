@@ -23,6 +23,8 @@ from callselect import (
 )
 from callselect.ztest import ClassStats
 
+from conftest import written_rows
+
 
 def _fvt(weights, labels, calls=None):
     w = np.asarray(weights, dtype=np.float64)
@@ -167,15 +169,16 @@ def _z_by_call(result):
 
 
 @pytest.mark.parametrize("seed", [3, 51, 7])
-def test_relfreq_and_tfidf_give_one_z_where_idf_is_positive(seed):
+def test_relfreq_and_tfidf_give_one_z_where_idf_is_positive(seed, tmp_path):
     # With idf > 0, min-max of tf * idf is a positive affine map of a tf
     # column, which the variance form of z does not see. A call present in
     # every record has idf 0, so its tf-idf column is constant and z is None.
-    records, _ = generate(default_spec(samples_per_class=40, vocabulary_size=60, seed=seed))
-    tfidf, rel = build_fvt(records), relative_frequency_table(records)
+    corpus, _ = generate(default_spec(samples_per_class=40, vocabulary_size=60, seed=seed))
+    tfidf, rel = build_fvt(corpus), relative_frequency_table(corpus)
     z_tfidf = _z_by_call(filter_calls(tfidf, tfidf.calls))
     z_rel = _z_by_call(filter_calls(rel, rel.calls))
-    everywhere = {c for c in tfidf.calls if all(c in r.counts for r in records)}
+    records = written_rows(corpus, tmp_path / "records.jsonl")
+    everywhere = {c for c in tfidf.calls if all(c in r["counts"] for r in records)}
     assert 0 < len(everywhere) < len(tfidf.calls)
     for call in tfidf.calls:
         if call in everywhere:
