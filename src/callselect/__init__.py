@@ -32,10 +32,11 @@ from .featurize import (
     DecisionTable,
     FeatureVectorTable,
     build_fvt,
+    build_fvt_and_relative_frequencies,
     discretize,
     label_codes,
+    midpoint_table,
     read_decision_table_csv,
-    relative_frequency_table,
 )
 from .forest import TreeEnsemble, predict, predict_scores, train
 from .ingest import (

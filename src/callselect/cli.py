@@ -18,12 +18,15 @@ import numpy as np
 from . import baselines, evaluate, ztest
 from .errors import CallSelectError, ConfigError, InvariantError
 from .featurize import (
+    DEFAULT_MIN_DF,
     FeatureVectorTable,
     build_fvt,
     build_fvt_and_relative_frequencies,
     discretize,
+    midpoint_table,
     read_decision_table_csv,
 )
+from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES
 from .ingest import (
     ingest_corpus,
     read_input,
@@ -35,7 +38,7 @@ from .oracles import exhaustive_reduct, naive_positive_region, random_decision_t
 from .roughset import generate_reduct, positive_region, significance
 from .synth import default_spec, generate
 
-METHODS = ("rsst", "roughset", "ig", "chi", "su")
+METHODS = ("rsst", "roughset", *(m.lower() for m in baselines.METHODS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,17 +112,6 @@ def _cmd_featurize(args) -> int:
     return _written(fvt_path, table_path)
 
 
-def _surrogate_fvt(table) -> FeatureVectorTable:
-    # Bin midpoints re-discretize to the same bins, so a pre-binned table
-    # takes the same path as records, z stage included.
-    return FeatureVectorTable(
-        sample_ids=table.sample_ids,
-        calls=table.calls,
-        weights=table.bins.astype(np.float64) * 0.25 - 0.125,
-        labels=table.labels,
-    )
-
-
 def select_report(
     fvt: FeatureVectorTable, config: dict, z_table: FeatureVectorTable | None = None
 ) -> dict:
@@ -176,10 +168,11 @@ def _cmd_select(args) -> int:
     }
     z_table = None
     if args.decision_table:
-        fvt = _surrogate_fvt(read_decision_table_csv(args.decision_table))
+        # Midpoints bin back to the bins read: the records path, z stage included.
+        fvt = midpoint_table(read_decision_table_csv(args.decision_table))
         if args.z_weights != "tfidf":
             raise ConfigError("relative frequencies are unavailable for a pre-binned table")
-        if args.min_df != 1:
+        if args.min_df != DEFAULT_MIN_DF:
             raise ConfigError("--min-df does not apply to a pre-binned table")
     elif args.z_weights == "relfreq" and args.method == "rsst":
         fvt, z_table = build_fvt_and_relative_frequencies(
@@ -193,7 +186,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
+    # The records are read last: a bad selection or --lengths fails fast.
     try:
         selection = json.loads(read_input(args.selection, "selection report"))
     except json.JSONDecodeError as exc:
@@ -204,6 +197,7 @@ def _cmd_eval(args) -> int:
     if not isinstance(ranking, list) or not ranking:
         raise ConfigError("selection report carries no ranking")
     lengths = _parse_lengths(args.lengths)
+    fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     report = evaluate.sweep(
         fvt,
         ranking,
@@ -244,15 +238,9 @@ def _cmd_eval(args) -> int:
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = default_spec(
-        samples_per_class=args.samples_per_class,
-        vocabulary_size=args.vocabulary_size,
-        planted_malware=args.planted_malware,
-        planted_benign=args.planted_benign,
-        effect_size=args.effect_size,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    # The parser sets only the spec options given, so default_spec owns the rest.
+    spec = default_spec(**{k: v for k, v in vars(args).items()
+                           if k not in ("command", "func", "out_dir")})
     records_path = out_dir / "records.jsonl"
     write_records_jsonl(generate(spec)[0], records_path)
     key_path = out_dir / "answer_key.json"
@@ -333,7 +321,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("featurize", help="build the weighted and binned feature tables")
     p.add_argument("--records", required=True, help="records.jsonl from ingest or synth")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-df", type=int, default=1)
+    p.add_argument("--min-df", type=int, default=DEFAULT_MIN_DF)
     p.set_defaults(func=_cmd_featurize)
 
     p = sub.add_parser("select", help="rank calls with one of the selectors")
@@ -345,14 +333,14 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--out", required=True, help="selection report JSON path")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--z-crit", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=ztest.DEFAULT_ALPHA)
+    p.add_argument("--z-crit", type=float)
     p.add_argument("--sigma-as-stddev", action="store_true",
                    help="use standard deviations instead of variances in the z denominator")
     p.add_argument("--z-candidates", choices=("reduct", "all"), default="reduct")
     p.add_argument("--z-weights", choices=("tfidf", "relfreq"), default="tfidf")
-    p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--min-df", type=int, default=DEFAULT_MIN_DF)
+    p.add_argument("--top-k", type=int)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("eval", help="cross-validated sweep over ranking prefixes")
@@ -360,22 +348,23 @@ def build_parser() -> _Parser:
     p.add_argument("--selection", required=True, help="selection report JSON")
     p.add_argument("--lengths", required=True, help="comma separated prefix lengths")
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", default=None, help="optional CSV mirror of the report")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=16)
-    p.add_argument("--min-df", type=int, default=1)
+    p.add_argument("--csv", help="optional CSV mirror of the report")
+    p.add_argument("--seed", type=int, default=evaluate.DEFAULT_SEED)
+    p.add_argument("--folds", type=int, default=evaluate.DEFAULT_FOLDS)
+    p.add_argument("--trees", type=int, default=DEFAULT_TREES)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p.add_argument("--min-df", type=int, default=DEFAULT_MIN_DF)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("synth", help="draw a synthetic corpus with a planted answer key")
-    p.add_argument("--samples-per-class", type=int, default=200)
-    p.add_argument("--vocabulary-size", type=int, default=50)
-    p.add_argument("--planted-malware", type=int, default=3)
-    p.add_argument("--planted-benign", type=int, default=2)
-    p.add_argument("--effect-size", type=float, default=4.0)
-    p.add_argument("--noise-std", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=42)
+    p = sub.add_parser("synth", help="draw a synthetic corpus with a planted answer key",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--samples-per-class", type=int)
+    p.add_argument("--vocabulary-size", type=int)
+    p.add_argument("--planted-malware", type=int)
+    p.add_argument("--planted-benign", type=int)
+    p.add_argument("--effect-size", type=float)
+    p.add_argument("--noise-std", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 

@@ -29,6 +29,8 @@ from .featurize import FeatureVectorTable, label_codes
 from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES, predict, predict_scores, train  # noqa: F401
 
 METRIC_NAMES = ("acc", "fpr", "paper_auc", "roc_auc", "f1")
+DEFAULT_FOLDS = 10
+DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,8 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[np.ndarra
                 f"class {cls} has {idx.size} samples, fewer than {k} folds"
             )
         rng.shuffle(idx)
-        base, extra = divmod(idx.size, k)
-        start = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            folds[i].extend(idx[start:start + size].tolist())
-            start += size
+        for fold, chunk in zip(folds, np.array_split(idx, k)):
+            fold.extend(chunk.tolist())
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
@@ -174,8 +172,8 @@ def sweep(
     fvt: FeatureVectorTable,
     ranking: Sequence[str],
     lengths: Sequence[int],
-    folds: int = 10,
-    seed: int = 42,
+    folds: int = DEFAULT_FOLDS,
+    seed: int = DEFAULT_SEED,
     trees_count: int = DEFAULT_TREES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> EvalReport:

@@ -24,6 +24,7 @@ from .errors import ConfigError, InvariantError
 from .ingest import Corpus, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
+DEFAULT_MIN_DF = 1
 
 # Bin k's CSV cell with its trailing comma, at index k.
 _BIN_CELLS = ("", *(f"{b}," for b in BIN_LABELS))
@@ -224,7 +225,7 @@ def _minmax_in_place(m: np.ndarray) -> None:
     m /= np.where(span > 0, span, 1.0)
 
 
-def build_fvt(corpus: Corpus, min_df: int = 1) -> FeatureVectorTable:
+def build_fvt(corpus: Corpus, min_df: int = DEFAULT_MIN_DF) -> FeatureVectorTable:
     """tf-idf weighted feature table, one row per sample, columns sorted by call name."""
     vocab, idf, tf = _term_frequencies(corpus, min_df)
     tf *= idf  # the weights, in the tf buffer
@@ -232,16 +233,11 @@ def build_fvt(corpus: Corpus, min_df: int = 1) -> FeatureVectorTable:
     return FeatureVectorTable(corpus.sample_ids, vocab, tf, corpus.labels)
 
 
-def relative_frequency_table(corpus: Corpus, min_df: int = 1) -> FeatureVectorTable:
-    """Plain term-frequency table (no idf, no normalization); values already in [0, 1]."""
-    vocab, _, tf = _term_frequencies(corpus, min_df)
-    return FeatureVectorTable(corpus.sample_ids, vocab, tf, corpus.labels)
-
-
 def build_fvt_and_relative_frequencies(
-    corpus: Corpus, min_df: int = 1
+    corpus: Corpus, min_df: int = DEFAULT_MIN_DF
 ) -> tuple[FeatureVectorTable, FeatureVectorTable]:
-    """build_fvt and relative_frequency_table from one tf matrix: the
+    """build_fvt's table and the plain term-frequency table (no idf, no
+    normalization; values already in [0, 1]) from one tf matrix: the
     weights are tf * idf, a new matrix, min-max normalized in place."""
     vocab, idf, tf = _term_frequencies(corpus, min_df)
     weights = tf * idf
@@ -265,3 +261,10 @@ def discretize(fvt: FeatureVectorTable) -> DecisionTable:
         bins=bins,
         labels=fvt.labels,
     )
+
+
+def midpoint_table(table: DecisionTable) -> FeatureVectorTable:
+    """Each bin's midpoint as the weight (B1 .125, B2 .375, B3 .625, B4
+    .875), which discretize maps back to the same bin."""
+    return FeatureVectorTable(table.sample_ids, table.calls,
+                              table.bins.astype(np.float64) * 0.25 - 0.125, table.labels)

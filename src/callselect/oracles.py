@@ -56,13 +56,13 @@ def _subset_positive_size(table: DecisionTable, cols: Sequence[int]) -> int:
     return sum(len(labs) for labs in groups.values() if len(set(labs)) == 1)
 
 
-def exhaustive_reduct(table: DecisionTable, max_attrs: int = EXHAUSTIVE_ATTR_LIMIT) -> ExhaustiveResult:
+def exhaustive_reduct(table: DecisionTable) -> ExhaustiveResult:
     """Best achievable significance over all attribute subsets, plus the
     smallest subsets achieving it."""
     n_attrs = len(table.calls)
-    if n_attrs > max_attrs:
+    if n_attrs > EXHAUSTIVE_ATTR_LIMIT:
         raise ConfigError(
-            f"refusing exhaustive search over {n_attrs} attributes (limit {max_attrs})"
+            f"refusing exhaustive search over {n_attrs} attributes (limit {EXHAUSTIVE_ATTR_LIMIT})"
         )
     if table.n_samples == 0:
         raise ConfigError("cannot reduce an empty table")

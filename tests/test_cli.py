@@ -1,6 +1,7 @@
 """Command line round trips, each subcommand exercised end to end in process."""
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import callselect
-from callselect import featurize
-from callselect.cli import METHODS, _surrogate_fvt, main, select_report
+from callselect import cli, evaluate, featurize, forest, ztest
+from callselect.cli import METHODS, build_parser, main, select_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,6 +132,35 @@ def test_synth_rejects_negative_planted_counts(capsys, tmp_path, option):
     assert obj["error"] == "ConfigError"
     assert f"{option[2:].replace('-', '_')}=-1" in obj["message"]
     assert not (tmp_path / "records.jsonl").exists()
+
+
+def test_synth_passes_default_spec_only_the_options_given(capsys, tmp_path, monkeypatch):
+    given = []
+
+    def recorder(**options):
+        given.append(options)
+        return callselect.default_spec(**options)
+
+    monkeypatch.setattr(cli, "default_spec", recorder)
+    assert _run(capsys, "synth", "--out-dir", str(tmp_path / "a"))[0] == 0
+    assert _run(capsys, "synth", "--seed", "7", "--out-dir", str(tmp_path / "b"))[0] == 0
+    assert given == [{}, {"seed": 7}]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    ev = parse(["eval", "--records", "r", "--selection", "s", "--lengths", "1", "--out", "o"])
+    assert (ev.seed, ev.folds, ev.trees, ev.max_depth, ev.min_df) == (
+        evaluate.DEFAULT_SEED, evaluate.DEFAULT_FOLDS, forest.DEFAULT_TREES,
+        forest.DEFAULT_MAX_DEPTH, featurize.DEFAULT_MIN_DF)
+    sel = parse(["select", "--records", "r", "--method", "rsst", "--out", "o"])
+    assert (sel.alpha, sel.min_df) == (ztest.DEFAULT_ALPHA, featurize.DEFAULT_MIN_DF)
+    assert parse(["featurize", "--records", "r", "--out-dir", "o"]).min_df == featurize.DEFAULT_MIN_DF
+    # The library signatures name the same constants.
+    sweep = inspect.signature(evaluate.sweep).parameters
+    assert (sweep["folds"].default, sweep["seed"].default) == (ev.folds, ev.seed)
+    for build in (featurize.build_fvt, featurize.build_fvt_and_relative_frequencies):
+        assert inspect.signature(build).parameters["min_df"].default == featurize.DEFAULT_MIN_DF
 
 
 def test_featurize_outputs_both_tables(capsys, corpus, tmp_path):
@@ -334,7 +364,7 @@ def test_select_checks_every_recorded_option(
 
 
 def test_select_report_checks_its_options_for_every_method():
-    fvt = _surrogate_fvt(callselect.read_decision_table_csv(DATA / "toy_decision_table.csv"))
+    fvt = callselect.midpoint_table(callselect.read_decision_table_csv(DATA / "toy_decision_table.csv"))
     good = {"top_k": None, "z_candidates": "reduct", "alpha": 0.05, "z_crit": None,
             "sigma_as_stddev": False}
     bad = [({"z_crit": float("nan")}, "z_crit"), ({"alpha": 7.0}, "alpha"),
@@ -449,6 +479,27 @@ def test_eval_malformed_selection_exits_2(capsys, records, tmp_path, selection, 
     obj = json.loads(err)
     assert obj["error"] == "ConfigError"
     assert message in obj["message"]
+
+
+@pytest.mark.parametrize(
+    "selection, lengths, message",
+    [
+        ('{"ranking": ["write"]}', "1,x", "bad length 'x' in --lengths"),
+        ('{"ranking": ["write"]}', ",", "--lengths must name at least one integer"),
+        ('{"method": "rsst"}', "1", "selection report carries no ranking"),
+    ],
+    ids=["bad-length", "no-length", "no-ranking"],
+)
+def test_eval_checks_lengths_and_selection_before_records(capsys, tmp_path, selection, lengths,
+                                                          message):
+    sel = tmp_path / "sel.json"
+    sel.write_text(selection)
+    code, out, err = _run(
+        capsys, "eval", "--records", str(tmp_path / "missing.jsonl"), "--selection", str(sel),
+        "--lengths", lengths, "--out", str(tmp_path / "e.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
 # Latin-1 bytes in each UTF-8 input, with the argv that reads it.

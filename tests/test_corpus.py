@@ -21,10 +21,10 @@ from callselect import (
     ConfigError,
     Corpus,
     build_fvt,
+    build_fvt_and_relative_frequencies,
     ingest_corpus,
     minmax_columns,
     read_records_jsonl,
-    relative_frequency_table,
     write_records_jsonl,
 )
 from callselect.ingest import LABELS, read_input
@@ -53,9 +53,11 @@ def _check_round_trip(rows, path, min_df):
                 build_fvt(source, min_df=min_df)
         return
     idf = np.array([math.log(len(rows) / df[c]) for c in vocab])
-    for build, want in ((build_fvt, minmax_columns(tf * idf)), (relative_frequency_table, tf)):
-        for source in (corpus, packed):
-            table = build(source, min_df=min_df)
+    weights = minmax_columns(tf * idf)
+    for source in (corpus, packed):
+        tables = (build_fvt(source, min_df=min_df),
+                  *build_fvt_and_relative_frequencies(source, min_df=min_df))
+        for table, want in zip(tables, (weights, weights, tf)):
             assert table.calls == tuple(vocab)
             assert table.sample_ids == tuple(r["sample_id"] for r in rows)
             assert table.labels == tuple(r["label"] for r in rows)

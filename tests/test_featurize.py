@@ -17,15 +17,16 @@ from callselect import (
     FeatureVectorTable,
     InvariantError,
     build_fvt,
+    build_fvt_and_relative_frequencies,
     discretize,
     label_codes,
+    midpoint_table,
     minmax_columns,
     read_decision_table_csv,
-    relative_frequency_table,
 )
 
 from callselect.featurize import _minmax_in_place
-from callselect.oracles import reference_term_frequencies
+from callselect.oracles import random_decision_table, reference_term_frequencies
 
 from conftest import GOLDEN_BINS, GOLDEN_CALLS, GOLDEN_IDS, GOLDEN_LABELS
 
@@ -99,7 +100,7 @@ def test_corpus_validation():
 
 
 def test_relative_frequency_rows_sum_to_one(tiny_corpus):
-    fvt = relative_frequency_table(tiny_corpus)
+    fvt = build_fvt_and_relative_frequencies(tiny_corpus)[1]
     np.testing.assert_allclose(fvt.weights.sum(axis=1), [1.0, 1.0, 1.0])
     assert fvt.column("read")[1] == 1.0
 
@@ -161,6 +162,16 @@ def test_discretize_matches_digitize_at_every_edge():
     assert bins.dtype == np.int8
     want = (np.digitize(w, edges, right=True) + 1).astype(np.int8)
     np.testing.assert_array_equal(bins[:, 0], want)
+
+
+def test_midpoints_discretize_to_their_own_bins():
+    rng = np.random.default_rng(18)
+    for case in range(200):
+        table = random_decision_table(rng, int(rng.integers(2, 40)), int(rng.integers(1, 12)))
+        back = discretize(midpoint_table(table))
+        assert np.array_equal(back.bins, table.bins), case
+        assert (back.sample_ids, back.calls, back.labels) == (
+            table.sample_ids, table.calls, table.labels), case
 
 
 def test_discretize_rejects_nan_weights():
@@ -329,9 +340,10 @@ def test_tf_fill_matches_per_count_reference():
             continue
         idf = np.array([math.log(len(records) / df[c]) for c in vocab])
         fvt = build_fvt(_corpus(records), min_df=min_df)
-        rel = relative_frequency_table(_corpus(records), min_df=min_df)
-        assert fvt.calls == rel.calls == tuple(vocab), case
+        pair_fvt, rel = build_fvt_and_relative_frequencies(_corpus(records), min_df=min_df)
+        assert fvt.calls == pair_fvt.calls == rel.calls == tuple(vocab), case
         assert _same_bits(fvt.weights, minmax_columns(tf * idf)), case
+        assert _same_bits(pair_fvt.weights, fvt.weights), case
         assert _same_bits(rel.weights, tf), case
 
 

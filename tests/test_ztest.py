@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from callselect import (
     ConfigError,
     FeatureVectorTable,
-    build_fvt,
+    build_fvt_and_relative_frequencies,
     class_stats,
     critical_value,
     default_spec,
     eval_ranking,
     filter_calls,
     generate,
-    relative_frequency_table,
     z_score,
 )
 from callselect.ztest import ClassStats
@@ -174,7 +173,7 @@ def test_relfreq_and_tfidf_give_one_z_where_idf_is_positive(seed, tmp_path):
     # column, which the variance form of z does not see. A call present in
     # every record has idf 0, so its tf-idf column is constant and z is None.
     corpus, _ = generate(default_spec(samples_per_class=40, vocabulary_size=60, seed=seed))
-    tfidf, rel = build_fvt(corpus), relative_frequency_table(corpus)
+    tfidf, rel = build_fvt_and_relative_frequencies(corpus)
     z_tfidf = _z_by_call(filter_calls(tfidf, tfidf.calls))
     z_rel = _z_by_call(filter_calls(rel, rel.calls))
     records = written_rows(corpus, tmp_path / "records.jsonl")
