@@ -23,7 +23,6 @@ METHODS = ("IG", "CHI", "SU")
 class RankedFeature:
     call: str
     score: float
-    method: str
 
 
 def entropy_bits(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -92,7 +91,7 @@ def rank(fvt: FeatureVectorTable, method: str, k: int | None = None) -> list[Ran
         raise ConfigError(f"k must be >= 1, got {k}")
     scorer = {"IG": information_gain, "SU": symmetric_uncertainty}.get(name)
     scores = scorer(discretize(fvt)) if scorer else chi_square(fvt)
-    scored = [RankedFeature(call=c, score=s, method=name) for c, s in zip(fvt.calls, scores)]
+    scored = [RankedFeature(call=c, score=s) for c, s in zip(fvt.calls, scores)]
     scored.sort(key=lambda f: (-f.score, f.call))
     if k is None or k >= len(scored):
         return scored

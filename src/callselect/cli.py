@@ -2,9 +2,9 @@
 
 Subcommands: ingest, featurize, select, eval, synth, oracle-check.
 Handled failures exit with code 2 and a JSON error object on stderr.
-Reports embed the semantic configuration (seed, thresholds, method) but
-not filesystem paths, so identical runs produce identical bytes wherever
-their outputs land. Environment variables are never consulted.
+A report's config holds every option of its run but the file paths, so
+identical runs write identical bytes wherever their files land.
+Environment variables are never consulted.
 """
 from __future__ import annotations
 
@@ -40,6 +40,10 @@ from .synth import default_spec, generate
 
 METHODS = ("rsst", "roughset", *(m.lower() for m in baselines.METHODS))
 
+# Options that name files; reports leave them out, so identical runs write
+# identical bytes wherever their files land.
+_PATHS = ("manifest", "records", "decision_table", "selection", "out", "out_dir", "csv")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
@@ -53,6 +57,11 @@ def _dump_json(obj: dict, path: Path) -> None:
     except ValueError as exc:
         raise InvariantError(f"{path.name} would not be strict JSON: {exc}") from None
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """The run's options for a report's config: every parsed value but the paths."""
+    return {k: v for k, v in vars(args).items() if k not in _PATHS and k != "func"}
 
 
 def _written(*paths: Path) -> int:
@@ -90,7 +99,7 @@ def _cmd_ingest(args) -> int:
     summary_path = out_dir / "summary.json"
     _dump_json(
         {
-            "config": {"command": "ingest"},
+            "config": _options(args),
             "files": files,
             "totals": totals,
             "records": len(result.corpus.sample_ids),
@@ -112,6 +121,13 @@ def _cmd_featurize(args) -> int:
     return _written(fvt_path, table_path)
 
 
+def _check_select(config: dict) -> None:
+    """Check alpha, z_crit and top_k, which every method records."""
+    ztest.critical_value(config["alpha"], config["z_crit"])
+    if config["top_k"] is not None and config["top_k"] < 1:
+        raise ConfigError(f"k must be >= 1, got {config['top_k']}")
+
+
 def select_report(
     fvt: FeatureVectorTable, config: dict, z_table: FeatureVectorTable | None = None
 ) -> dict:
@@ -119,9 +135,7 @@ def select_report(
     method, top_k, z_candidates, alpha, z_crit and sigma_as_stddev, and
     checks alpha, z_crit and top_k whichever method runs; rsst runs its z
     stage on z_table (relative frequencies) when one is given."""
-    ztest.critical_value(config["alpha"], config["z_crit"])
-    if config["top_k"] is not None and config["top_k"] < 1:
-        raise ConfigError(f"k must be >= 1, got {config['top_k']}")
+    _check_select(config)
     method = config["method"]
     report: dict = {"config": config, "method": method}
     if method not in ("rsst", "roughset"):
@@ -154,26 +168,16 @@ def select_report(
 def _cmd_select(args) -> int:
     if bool(args.records) == bool(args.decision_table):
         raise ConfigError("pass exactly one of --records or --decision-table")
-    config = {
-        "command": "select",
-        "method": args.method,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "z_crit": args.z_crit,
-        "sigma_as_stddev": args.sigma_as_stddev,
-        "z_candidates": args.z_candidates,
-        "z_weights": args.z_weights,
-        "min_df": args.min_df,
-        "top_k": args.top_k,
-    }
+    config = _options(args)
+    _check_select(config)  # options fail before any input is read
     z_table = None
     if args.decision_table:
-        # Midpoints bin back to the bins read: the records path, z stage included.
-        fvt = midpoint_table(read_decision_table_csv(args.decision_table))
         if args.z_weights != "tfidf":
             raise ConfigError("relative frequencies are unavailable for a pre-binned table")
         if args.min_df != DEFAULT_MIN_DF:
             raise ConfigError("--min-df does not apply to a pre-binned table")
+        # Midpoints bin back to the bins read: the records path, z stage included.
+        fvt = midpoint_table(read_decision_table_csv(args.decision_table))
     elif args.z_weights == "relfreq" and args.method == "rsst":
         fvt, z_table = build_fvt_and_relative_frequencies(
             read_records_jsonl(args.records), min_df=args.min_df)
@@ -186,7 +190,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # The records are read last: a bad selection or --lengths fails fast.
+    # The records are read last, so a bad selection fails fast (as --lengths does).
     try:
         selection = json.loads(read_input(args.selection, "selection report"))
     except json.JSONDecodeError as exc:
@@ -196,27 +200,17 @@ def _cmd_eval(args) -> int:
     ranking = selection.get("ranking")
     if not isinstance(ranking, list) or not ranking:
         raise ConfigError("selection report carries no ranking")
-    lengths = _parse_lengths(args.lengths)
     fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     report = evaluate.sweep(
         fvt,
         ranking,
-        lengths,
+        args.lengths,
         folds=args.folds,
         seed=args.seed,
         trees_count=args.trees,
         max_depth=args.max_depth,
     )
-    config = {
-        "command": "eval",
-        "seed": args.seed,
-        "folds": args.folds,
-        "trees": args.trees,
-        "max_depth": args.max_depth,
-        "min_df": args.min_df,
-        "lengths": lengths,
-        "selection_method": selection.get("method"),
-    }
+    config = {**_options(args), "selection_method": selection.get("method")}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump_json({"config": config, **report.to_json_dict()}, out)
@@ -239,8 +233,7 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The parser sets only the spec options given, so default_spec owns the rest.
-    spec = default_spec(**{k: v for k, v in vars(args).items()
-                           if k not in ("command", "func", "out_dir")})
+    spec = default_spec(**{k: v for k, v in _options(args).items() if k != "command"})
     records_path = out_dir / "records.jsonl"
     write_records_jsonl(generate(spec)[0], records_path)
     key_path = out_dir / "answer_key.json"
@@ -346,7 +339,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="cross-validated sweep over ranking prefixes")
     p.add_argument("--records", required=True)
     p.add_argument("--selection", required=True, help="selection report JSON")
-    p.add_argument("--lengths", required=True, help="comma separated prefix lengths")
+    p.add_argument("--lengths", required=True, type=_parse_lengths,
+                   help="comma separated prefix lengths")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="optional CSV mirror of the report")
     p.add_argument("--seed", type=int, default=evaluate.DEFAULT_SEED)

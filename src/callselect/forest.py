@@ -34,8 +34,8 @@ shows in the result. A run is fully reproducible from (data, seed).
 
 An ensemble is stored as flat node arrays shared by all its trees:
 feature, threshold, left, right and label, indexed by node id, plus the
-root id of each tree. Each tree's nodes are contiguous and in level
-order, (depth, path) within the tree, so a split's children always come
+root id of each tree. Nodes stay in grow order: block by block, level by
+level, (tree, path) within a level, so a split's children always come
 after it. A row goes left when its value of the split feature is <= the
 threshold. A leaf is its own left and right child, so a row that reaches
 a leaf stays there; prediction therefore steps every (tree, row) pair
@@ -216,7 +216,7 @@ def _best_splits(X, ranks, seg, row, w, wy, W, M, features):
 
 
 def _grow_block(X, ranks, y, trees, mtry, max_depth, draws):
-    """Grow the next `trees` trees level by level; node arrays in tree order."""
+    """Grow the next `trees` trees level by level; node arrays in grow order."""
     n = X.shape[0]
     boots = draws.bootstrap(trees)
     boots += np.arange(0, trees * n, n)[:, None]
@@ -224,10 +224,9 @@ def _grow_block(X, ranks, y, trees, mtry, max_depth, draws):
     seg, row = (a.astype(np.int32) for a in np.nonzero(counts))  # seg = tree
     w = counts[seg, row].astype(np.int32)
     del boots, counts
-    node_tree = np.arange(trees)  # tree of each open node, in (tree, path) order
-    levels = []  # (tree, feature, threshold, label, split) per node, per depth
+    S = trees  # nodes at this depth, in (tree, path) order
+    levels = []  # (feature, threshold, label, split) per node, per depth
     for depth in range(max_depth + 1):
-        S = node_tree.size
         wy = w * y[row]
         W = np.bincount(seg, weights=w, minlength=S)
         M = np.bincount(seg, weights=wy, minlength=S)
@@ -253,21 +252,17 @@ def _grow_block(X, ranks, y, trees, mtry, max_depth, draws):
             seg, row, w = seg[keep], row[keep], w[keep]
             seg = child[seg] + (X[row, f[seg]] > t[seg])
         label = ((2 * M > W) & ~split).astype(np.int8)  # ties go to benign
-        levels.append((node_tree, feature, threshold, label, split))
-        if not split.any():
+        levels.append((feature, threshold, label, split))
+        S = 2 * int(split.sum())
+        if not S:
             break
-        node_tree = np.repeat(node_tree[split], 2)
-    tree, feature, threshold, label, split = (np.concatenate(c) for c in zip(*levels))
-    # In creation order, each level holds the children of the level before it
-    # in pairs, so the non-root nodes are the child pairs of the splits in order.
-    ids = np.arange(tree.size)
+    feature, threshold, label, split = (np.concatenate(c) for c in zip(*levels))
+    # Each level holds the children of the level before it in pairs, so the
+    # non-root nodes are the child pairs of the splits in order.
+    ids = np.arange(label.size)
     left, right = ids.copy(), ids.copy()
     left[split], right[split] = ids[trees::2], ids[trees + 1::2]
-    order = np.argsort(tree, kind="stable")
-    new_id = np.empty_like(order)
-    new_id[order] = ids
-    return (feature[order], threshold[order], new_id[left[order]],
-            new_id[right[order]], label[order], new_id[:trees])
+    return feature, threshold, left, right, label, ids[:trees]
 
 
 def train(

@@ -45,8 +45,7 @@ class ClassStats:
 class ZVerdict:
     call: str
     z: float | None  # None when the pooled standard error is zero
-    rejected_null: bool
-    dominant: str  # "M", "B", or "none"
+    dominant: str  # "M" or "B" where the null is rejected, else "none"
 
 
 @dataclass(frozen=True)
@@ -139,16 +138,16 @@ def filter_calls(
             z = None
         reject = z is not None and abs(z) > crit
         dominant = ("M" if z > 0 else "B") if reject else "none"
-        verdicts.append(ZVerdict(call=stats.call, z=z, rejected_null=reject, dominant=dominant))
+        verdicts.append(ZVerdict(call=stats.call, z=z, dominant=dominant))
     malware = sorted(
-        (v for v in verdicts if v.rejected_null and v.dominant == "M"),
+        (v for v in verdicts if v.dominant == "M"),
         key=lambda v: (-v.z, v.call),
     )
     benign = sorted(
-        (v for v in verdicts if v.rejected_null and v.dominant == "B"),
+        (v for v in verdicts if v.dominant == "B"),
         key=lambda v: (v.z, v.call),
     )
-    rejected = [v for v in verdicts if not v.rejected_null]
+    rejected = [v for v in verdicts if v.dominant == "none"]
     return StatFilterResult(
         malware=tuple(malware),
         benign=tuple(benign),

@@ -1,5 +1,6 @@
 """Command line round trips, each subcommand exercised end to end in process."""
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -361,6 +362,47 @@ def test_select_checks_every_recorded_option(
     assert code == 2
     assert json.loads(err) == {"error": "ConfigError", "message": message}
     assert not (tmp_path / "sel.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, options, message",
+    [
+        ("--records", ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+        ("--decision-table", ["--z-weights", "relfreq"],
+         "relative frequencies are unavailable for a pre-binned table"),
+        ("--decision-table", ["--min-df", "2"], "--min-df does not apply to a pre-binned table"),
+    ],
+    ids=["alpha", "relfreq", "min-df"],
+)
+def test_select_checks_options_before_reading_input(capsys, tmp_path, kind, options, message):
+    code, out, err = _run(
+        capsys, "select", kind, str(tmp_path / "missing"), "--method", "rsst", *options,
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+
+def test_report_config_is_every_option_but_the_paths(capsys, corpus, tmp_path):
+    # A new parser option lands in the report's config unless it names a file.
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    out = tmp_path / "out"
+    records, sel = str(out / "records.jsonl"), str(out / "sel.json")
+    runs = [
+        ("ingest", "summary.json", ["--manifest", str(corpus[1]), "--out-dir", str(out)]),
+        ("select", "sel.json", ["--records", records, "--method", "ig", "--out", sel]),
+        ("eval", "eval.json", ["--records", records, "--selection", sel, "--lengths", "1",
+                               "--folds", "3", "--trees", "3", "--out", str(out / "eval.json")]),
+    ]
+    for command, report, argv in runs:
+        code, _, err = _run(capsys, command, *argv)
+        assert code == 0, err
+        options = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+        expected = options - set(cli._PATHS) | {"command"}
+        if command == "eval":
+            expected.add("selection_method")
+        assert set(json.loads((out / report).read_text())["config"]) == expected, command
 
 
 def test_select_report_checks_its_options_for_every_method():

@@ -56,6 +56,25 @@ def test_level_wise_matches_reference_forest():
     assert mismatches == []
 
 
+def _tree_by_tree(model):
+    """The model's node arrays renumbered tree by tree, each tree in level
+    order from its root, so that the grow order of the blocks drops out."""
+    order = []
+    for root in model.roots.tolist():
+        level = [root]
+        while level:
+            order += level
+            level = [child for node in level if model.left[node] != node
+                     for child in (int(model.left[node]), int(model.right[node]))]
+    order = np.array(order)
+    assert np.array_equal(np.sort(order), np.arange(model.label.size))  # every node once
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    return {"feature": model.feature[order], "threshold": model.threshold[order],
+            "left": new_id[model.left[order]], "right": new_id[model.right[order]],
+            "label": model.label[order], "roots": new_id[model.roots]}
+
+
 def test_block_size_never_shows(monkeypatch):
     for case in range(20):
         _, X, y, trees, depth = _random_fit(1000 + case)
@@ -64,10 +83,12 @@ def test_block_size_never_shows(monkeypatch):
         for slots in (n, 3 * n, forest._TREE_ROW_SLOTS):  # 1 tree, 3 trees, default
             with monkeypatch.context() as m:
                 m.setattr(forest, "_TREE_ROW_SLOTS", slots)
-                fits.append(train(X, y, seed=case, trees_count=trees + 3, max_depth=depth))
+                model = train(X, y, seed=case, trees_count=trees + 3, max_depth=depth)
+            fits.append(_tree_by_tree(model))
         for other in fits[1:]:
-            for name in ("feature", "threshold", "left", "right", "label", "roots"):
-                assert np.array_equal(getattr(other, name), getattr(fits[0], name)), name
+            for name, values in other.items():  # bit for bit
+                assert values.dtype == fits[0][name].dtype, name
+                assert values.tobytes() == fits[0][name].tobytes(), name
 
 
 def test_node_layout():

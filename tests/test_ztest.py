@@ -112,7 +112,6 @@ def test_verdict_degenerate_column_is_none():
     (v,) = filter_calls(fvt, ["c0"]).rejected
     assert v.z is None
     assert v.dominant == "none"
-    assert not v.rejected_null
 
 
 def test_filter_lists_and_signs():
