@@ -190,7 +190,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # The records are read last, so a bad selection fails fast (as --lengths does).
+    # The records are read last, so a bad selection or option fails fast.
     try:
         selection = json.loads(read_input(args.selection, "selection report"))
     except json.JSONDecodeError as exc:
@@ -200,6 +200,7 @@ def _cmd_eval(args) -> int:
     ranking = selection.get("ranking")
     if not isinstance(ranking, list) or not ranking:
         raise ConfigError("selection report carries no ranking")
+    evaluate.check_sweep(ranking, args.lengths, args.folds, args.trees, args.max_depth)
     fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     report = evaluate.sweep(
         fvt,

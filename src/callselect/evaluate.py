@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigError
 from .featurize import FeatureVectorTable, label_codes
 # predict is unused here, but callbench/spans.py wraps evaluate.predict by name.
-from .forest import DEFAULT_MAX_DEPTH, DEFAULT_TREES, predict, predict_scores, train  # noqa: F401
+from .forest import (  # noqa: F401
+    DEFAULT_MAX_DEPTH, DEFAULT_TREES, check_sizes, predict, predict_scores, train)
 
 METRIC_NAMES = ("acc", "fpr", "paper_auc", "roc_auc", "f1")
 DEFAULT_FOLDS = 10
@@ -110,14 +111,18 @@ def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 
+def _check_fold_count(k: int) -> None:
+    if k < 2:
+        raise ConfigError(f"fold count must be >= 2, got {k}")
+
+
 def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[np.ndarray]:
     """Deterministic stratified split into k folds of test indices.
 
     Each class's shuffled indices are dealt out in k near-equal chunks, so
     per-fold class counts stay within one sample of n_class/k.
     """
-    if k < 2:
-        raise ConfigError(f"fold count must be >= 2, got {k}")
+    _check_fold_count(k)
     labels = list(labels)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
@@ -168,19 +173,14 @@ class EvalReport:
             writer.writerow(["std_dev"] + [f"{self.std_dev[m]:.6f}" for m in METRIC_NAMES])
 
 
-def sweep(
-    fvt: FeatureVectorTable,
-    ranking: Sequence[str],
-    lengths: Sequence[int],
-    folds: int = DEFAULT_FOLDS,
-    seed: int = DEFAULT_SEED,
-    trees_count: int = DEFAULT_TREES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> EvalReport:
-    """Evaluate ranking prefixes of the given lengths under k-fold CV."""
+def check_sweep(
+    ranking: Sequence[str], lengths: Sequence[int], folds: int, trees_count: int, max_depth: int
+) -> None:
+    """sweep's checks that need no table, so a caller can make them before
+    it reads one: the ranking and lengths, the fold count and the forest
+    sizes."""
     if not lengths:
         raise ConfigError("lengths must not be empty")
-    ranking = list(ranking)
     if not all(isinstance(call, str) for call in ranking):
         raise ConfigError("ranking entries must be call names")
     for what, items in (("call", ranking), ("length", lengths)):
@@ -192,6 +192,22 @@ def sweep(
             raise ConfigError(
                 f"requested {length} of {len(ranking)} ranked features"
             )
+    _check_fold_count(folds)
+    check_sizes(trees_count, max_depth)
+
+
+def sweep(
+    fvt: FeatureVectorTable,
+    ranking: Sequence[str],
+    lengths: Sequence[int],
+    folds: int = DEFAULT_FOLDS,
+    seed: int = DEFAULT_SEED,
+    trees_count: int = DEFAULT_TREES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> EvalReport:
+    """Evaluate ranking prefixes of the given lengths under k-fold CV."""
+    ranking = list(ranking)
+    check_sweep(ranking, lengths, folds, trees_count, max_depth)
     fold_indices = stratified_folds(fvt.labels, folds, seed)
     n = fvt.n_samples
     rows: list[LengthResult] = []

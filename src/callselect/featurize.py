@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .ingest import Corpus, read_input
 
 BIN_LABELS = ("B1", "B2", "B3", "B4")
 DEFAULT_MIN_DF = 1
-
-# Bin k's CSV cell with its trailing comma, at index k.
-_BIN_CELLS = ("", *(f"{b}," for b in BIN_LABELS))
-
 
 _LABEL_CODES = {"M": 1, "B": 0}
 
@@ -100,11 +96,8 @@ class FeatureVectorTable(_Table):
         return self.weights[:, self.column_index(call)]
 
     def to_csv(self, path: str | Path) -> None:
-        # One row at a time: a whole-matrix tolist() would hold every cell
-        # as a Python float at once.
-        fmt = "%.6f," * len(self.calls)
         _write_table_csv(path, self.sample_ids, self.calls, self.labels,
-                         (fmt % tuple(row.tolist()) for row in self.weights))
+                         _block_rows(self.weights, _weight_cells))
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,58 @@ class DecisionTable(_Table):
 
     def to_csv(self, path: str | Path) -> None:
         _write_table_csv(path, self.sample_ids, self.calls, self.labels,
-                         ("".join([_BIN_CELLS[b] for b in row.tolist()]) for row in self.bins))
+                         _block_rows(self.bins, _bin_cells))
+
+
+# Rows per block of the CSV writers: a block's temporaries stay near 1 MB
+# at a few hundred calls, never a whole-matrix copy.
+_BLOCK_ROWS = 256
+
+
+def _block_rows(matrix: np.ndarray, encode) -> Iterator[str]:
+    """Each row's cells as one string, encode(block) giving a block's rows."""
+    for start in range(0, len(matrix), _BLOCK_ROWS):
+        yield from encode(matrix[start:start + _BLOCK_ROWS])
+
+
+def _ascii_rows(cells: np.ndarray) -> list[str]:
+    """(rows, calls, width) ASCII codes as one string per row."""
+    return [str(row.data, "ascii") for row in cells.reshape(len(cells), cells[0].size)]
+
+
+def _bin_cells(bins: np.ndarray) -> list[str]:
+    """Rows of "B<bin>," cells."""
+    cells = np.empty((*bins.shape, 3), dtype=np.uint8)
+    cells[..., 0] = ord("B")
+    cells[..., 1] = bins + ord("0")
+    cells[..., 2] = ord(",")
+    return _ascii_rows(cells)
+
+
+def _weight_cells(w: np.ndarray) -> list[str]:
+    """Rows of "%.6f," cells. Weights in [0, 1] (no -0.0, no NaN) are
+    encoded from k = rint(w * 1e6), the six-decimal digits: the product is
+    within about 1.1e-10 of the exact w * 10**6, so k is %.6f's rounding
+    unless that lies within 1e-6 of a half, and those cells are rounded by
+    %.6f itself. A cell's nine bytes are k's integer digit, ".", its six
+    decimals and ",". Any other block is formatted cell by cell."""
+    if not (w.size and (w >= 0.0).all() and (w <= 1.0).all() and not np.signbit(w).any()):
+        fmt = "%.6f," * w.shape[1]
+        return [fmt % tuple(row) for row in w.tolist()]
+    scaled = w.astype(np.float64, copy=False) * 1e6
+    k = np.rint(scaled)
+    near = np.abs(np.subtract(scaled, k, out=scaled), out=scaled) > 0.5 - 1e-6
+    k = k.astype(np.uint32)
+    if near.any():
+        k[near] = [int(("%.6f" % x).replace(".", "")) for x in w[near].tolist()]
+    cells = np.empty((*w.shape, 9), dtype=np.uint8)
+    cells[..., 1] = ord(".")
+    cells[..., 8] = ord(",")
+    for digit in (7, 6, 5, 4, 3, 2, 0):  # uint32 // and * run several times faster than int64 %
+        rest = k // 10
+        cells[..., digit] = k - rest * 10 + ord("0")
+        k = rest
+    return _ascii_rows(cells)
 
 
 # What csv.writer (QUOTE_MINIMAL) quotes a field for.

@@ -111,6 +111,14 @@ def _mtry(d: int) -> int:
     return max(1, math.isqrt(d))
 
 
+def check_sizes(trees_count: int, max_depth: int) -> None:
+    """The forest sizes train accepts: at least one tree, depth at least 1."""
+    if trees_count < 1:
+        raise ConfigError(f"trees_count must be >= 1, got {trees_count}")
+    if max_depth < 1:
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+
+
 def _check_fit(X, y, trees_count: int, max_depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate train's inputs; return X as float64 and y as given."""
     X = np.asarray(X, dtype=np.float64)
@@ -123,10 +131,7 @@ def _check_fit(X, y, trees_count: int, max_depth: int) -> tuple[np.ndarray, np.n
         raise ConfigError(
             f"label codes must have shape ({X.shape[0]},), got {y.shape}"
         )
-    if trees_count < 1:
-        raise ConfigError(f"trees_count must be >= 1, got {trees_count}")
-    if max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+    check_sizes(trees_count, max_depth)
     if set(np.unique(y).tolist()) != {0, 1}:
         raise ConfigError("label codes must be 0 and 1, with both present")
     return X, y

@@ -544,6 +544,28 @@ def test_eval_checks_lengths_and_selection_before_records(capsys, tmp_path, sele
     assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--folds", "1", "fold count must be >= 2, got 1"),
+        ("--trees", "0", "trees_count must be >= 1, got 0"),
+        ("--max-depth", "0", "max_depth must be >= 1, got 0"),
+    ],
+    ids=["folds", "trees", "max-depth"],
+)
+def test_eval_checks_sizes_before_records(capsys, tmp_path, option, value, message):
+    """A bad fold count or forest size fails before the records are read:
+    the missing records file goes unnamed."""
+    sel = tmp_path / "sel.json"
+    sel.write_text('{"ranking": ["write"]}')
+    code, out, err = _run(
+        capsys, "eval", "--records", str(tmp_path / "missing.jsonl"), "--selection", str(sel),
+        "--lengths", "1", option, value, "--out", str(tmp_path / "e.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
+
+
 # Latin-1 bytes in each UTF-8 input, with the argv that reads it.
 _UNDECODABLE = {
     "manifest": (

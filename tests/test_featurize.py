@@ -25,7 +25,7 @@ from callselect import (
     read_decision_table_csv,
 )
 
-from callselect.featurize import _minmax_in_place
+from callselect.featurize import _BLOCK_ROWS, _minmax_in_place, _weight_cells
 from callselect.oracles import random_decision_table, reference_term_frequencies
 
 from conftest import GOLDEN_BINS, GOLDEN_CALLS, GOLDEN_IDS, GOLDEN_LABELS
@@ -451,3 +451,57 @@ def test_writers_match_csv_writer(tmp_path, ids, calls, weights):
     assert (back.calls, back.labels) == (table.calls, table.labels)
     assert back.bins.dtype == table.bins.dtype
     np.testing.assert_array_equal(back.bins, table.bins)
+
+
+def _near_ties():
+    """Weights at and beside six-decimal ties: (k + 0.5) / 10**6 and both
+    neighbouring doubles, for the first and last thousand k, every k whose
+    tie is an exact double (2k + 1 a multiple of 5**6) and random k; then
+    0, 1 and the ties at either end."""
+    rng = np.random.default_rng(7)
+    k = np.concatenate([np.arange(1000), np.arange(999_000, 1_000_000),
+                        (15625 * np.arange(1, 128, 2) - 1) // 2,
+                        rng.integers(0, 1_000_000, 20_000)])
+    ties = (k + 0.5) / 1e6
+    return np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0),
+                           [0.0, 1.0, 5e-7, 1 - 5e-7]])
+
+
+def test_weight_cells_match_percent_format_near_ties():
+    values = _near_ties()
+    values = values[: len(values) // 8 * 8].reshape(-1, 8)
+    assert values.min() >= 0.0 and values.max() <= 1.0  # every cell takes the block encoder
+    got = _weight_cells(values)
+    assert len(got) == len(values)
+    for row, text in zip(values.tolist(), got):
+        assert text == "".join("%.6f," % x for x in row), row
+
+
+@pytest.mark.parametrize("odd", [-0.0, -1e-300, 1.0000001, math.nan, math.inf],
+                         ids=["negative-zero", "tiny-negative", "above-one", "nan", "inf"])
+def test_fvt_csv_formats_an_odd_block_cell_by_cell(tmp_path, odd):
+    """A table of three and a bit blocks whose second block alone holds a
+    weight outside [0, 1] (or -0.0): that block is formatted by %, the
+    others are encoded, and the file is the reference's."""
+    rng = np.random.default_rng(3)
+    n = 3 * _BLOCK_ROWS + 5
+    weights = rng.uniform(0, 1, (n, 7))
+    weights[::5, 2] = 0.0
+    weights[1::7, 4] = 1.0
+    weights[:, 6] = np.resize(_near_ties(), n)
+    weights[_BLOCK_ROWS + 3, 1] = odd
+    fvt = FeatureVectorTable(tuple(f"s{i}" for i in range(n)), tuple("abcdefg"), weights,
+                             tuple("MB"[i % 2] for i in range(n)))
+    _reference_csv(tmp_path / "want.csv", fvt)
+    fvt.to_csv(tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_decision_table_csv_spans_blocks(tmp_path):
+    n = 2 * _BLOCK_ROWS + 1
+    bins = np.random.default_rng(4).integers(1, 5, (n, 5)).astype(np.int8)
+    table = DecisionTable(tuple(f"s{i}" for i in range(n)), tuple("abcde"), bins,
+                          tuple("MB"[i % 2] for i in range(n)))
+    _reference_csv(tmp_path / "want.csv", table)
+    table.to_csv(tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

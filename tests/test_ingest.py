@@ -7,6 +7,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from callselect import (
 )
 from callselect.cli import main
 from callselect.ingest import LINE_KINDS
+from callselect.synth import default_spec, generate
 from conftest import assert_same_corpus
 
 DATA = Path(__file__).parent / "data"
@@ -245,6 +247,47 @@ def test_records_jsonl_roundtrip(tmp_path):
     # the serialized form stays plain JSON-per-line
     first = json.loads(p.read_text().splitlines()[0])
     assert set(first) == {"sample_id", "label", "counts", "total"}
+
+
+def _reference_records_jsonl(corpus, path):
+    """The writer as it was: a dict per row through json.dumps(sort_keys=True)."""
+    bounds = corpus.indptr.tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for sample_id, label, a, b in zip(corpus.sample_ids, corpus.labels, bounds, bounds[1:]):
+            counts = corpus.counts[a:b].tolist()
+            names = map(corpus.calls.__getitem__, corpus.indices[a:b].tolist())
+            obj = {"sample_id": sample_id, "label": label,
+                   "counts": dict(zip(names, counts)), "total": sum(counts)}
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _assert_writer_matches_reference(corpus, tmp_path):
+    _reference_records_jsonl(corpus, tmp_path / "want.jsonl")
+    write_records_jsonl(corpus, tmp_path / "got.jsonl")
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("per_class, calls", [(40, 30), (3, 300), (1, 8)])
+def test_records_writer_matches_reference_on_synth(tmp_path, seed, per_class, calls):
+    spec = default_spec(samples_per_class=per_class, vocabulary_size=calls, seed=seed)
+    _assert_writer_matches_reference(generate(spec)[0], tmp_path)
+
+
+def test_records_writer_matches_reference_on_awkward_rows(tmp_path):
+    """Names JSON escapes, rows out of key order, an empty row, a one-call row."""
+    awkward = ['q"uote', "back\\slash", "\u00fc", "line\u2028sep", "ctl\x01", "plain"]
+    recs = [
+        CallCountRecord("s\"1", "M", {name: i + 1 for i, name in enumerate(awkward)}, 21),
+        CallCountRecord("s2", "B", {"zeta": 3, "alpha": 1, "plain": 2**40, "mid": 5}, 2**40 + 9),
+        CallCountRecord("\u00e9t\u00e9", "B", {}, 0),
+        CallCountRecord("s4", "M", {"ctl\x01": 7}, 7),
+        CallCountRecord("s5", "M", dict(reversed([(name, 2) for name in awkward])), 12),
+    ]
+    corpus = Corpus.from_records(recs)
+    a, b, c = corpus.indptr[1:4]
+    assert (np.diff(corpus.indices[a:b]) < 0).any() and b == c  # unsorted, then empty
+    _assert_writer_matches_reference(corpus, tmp_path)
 
 
 @pytest.mark.parametrize(

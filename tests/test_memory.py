@@ -1,7 +1,7 @@
 """Memory guards: the peak that tracemalloc sees in the synth generator,
-the record reader, build_fvt and class_stats, as a multiple of what each
-one returns or reads, and the CLI letting the corpus go before it
-selects or writes.
+the record reader, build_fvt, class_stats and the table-build writers, as
+a multiple of what each one returns, reads or writes from, and the CLI
+letting the corpus go before it selects or writes.
 The digests cannot see a memory regression; these can."""
 
 import tracemalloc
@@ -77,6 +77,25 @@ def test_class_stats_peak_is_a_few_blocks():
     stats, peak = _peak(lambda: class_stats(fvt, fvt.calls))
     assert len(stats) == width
     assert peak <= 0.75 * weights.nbytes, peak / weights.nbytes
+
+
+@pytest.fixture(scope="module")
+def table_build_corpus():
+    """The table-build workload's 6,000 x 300 synth corpus and its weights."""
+    corpus, _ = generate(default_spec(samples_per_class=3000, vocabulary_size=300, seed=29))
+    return corpus, build_fvt(corpus)
+
+
+@pytest.mark.parametrize("writer", ["fvt-csv", "records-jsonl"])
+def test_table_build_writers_peak_below_a_quarter_of_the_weights(
+        tmp_path, table_build_corpus, writer):
+    # The writers encode a block of rows at a time; any whole-matrix
+    # temporary of a byte per cell or more is already 1/8 of the weights.
+    corpus, fvt = table_build_corpus
+    write = {"fvt-csv": lambda: fvt.to_csv(tmp_path / "fvt.csv"),
+             "records-jsonl": lambda: write_records_jsonl(corpus, tmp_path / "r.jsonl")}
+    _, peak = _peak(write[writer])
+    assert peak < 0.25 * fvt.weights.nbytes, peak / fvt.weights.nbytes
 
 
 @pytest.mark.parametrize("argv, stage", [
