@@ -22,6 +22,7 @@ from .featurize import (
     FeatureVectorTable,
     build_fvt,
     build_fvt_and_relative_frequencies,
+    check_min_df,
     discretize,
     midpoint_table,
     read_decision_table_csv,
@@ -110,6 +111,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
+    check_min_df(args.min_df)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # The corpus goes as build_fvt returns; the writers hold one table each.
@@ -170,12 +172,16 @@ def _cmd_select(args) -> int:
         raise ConfigError("pass exactly one of --records or --decision-table")
     config = _options(args)
     _check_select(config)  # options fail before any input is read
+    if args.records:
+        check_min_df(args.min_df)
     z_table = None
     if args.decision_table:
         if args.z_weights != "tfidf":
             raise ConfigError("relative frequencies are unavailable for a pre-binned table")
         if args.min_df != DEFAULT_MIN_DF:
             raise ConfigError("--min-df does not apply to a pre-binned table")
+        if args.method == "chi":  # every bin midpoint is above 0, so every call is present
+            raise ConfigError("chi reads call presence, which a pre-binned table does not keep")
         # Midpoints bin back to the bins read: the records path, z stage included.
         fvt = midpoint_table(read_decision_table_csv(args.decision_table))
     elif args.z_weights == "relfreq" and args.method == "rsst":
@@ -201,6 +207,7 @@ def _cmd_eval(args) -> int:
     if not isinstance(ranking, list) or not ranking:
         raise ConfigError("selection report carries no ranking")
     evaluate.check_sweep(ranking, args.lengths, args.folds, args.trees, args.max_depth)
+    check_min_df(args.min_df)
     fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
     report = evaluate.sweep(
         fvt,

@@ -84,31 +84,23 @@ def metrics(cm: ConfusionMatrix, **rest) -> LengthResult:
     return LengthResult(acc=acc, fpr=fpr, paper_auc=paper_auc, f1=f1, **rest)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts_group = np.r_[True, ordered[1:] != ordered[:-1]]
-    starts = np.flatnonzero(starts_group)
-    ends = np.r_[starts[1:], values.size]
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = ((starts + 1 + ends) / 2.0)[np.cumsum(starts_group) - 1]
-    return ranks
-
-
 def roc_auc(scores: Sequence[float], labels: Sequence[str]) -> float:
-    """Probability a random malware score outranks a random benign one; ties count half."""
+    """Probability a random malware score outranks a random benign one; ties
+    count half. U (Mann-Whitney) is counted per distinct score: each malware
+    score beats the benign below it and half those tied, exact in float64."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size != len(labels):
         raise ConfigError("scores and labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise ConfigError("scores must be finite")
     y = label_codes(labels)
     n1 = int(y.sum())
     n0 = y.size - n1
     if n1 == 0 or n0 == 0:
         raise ConfigError("roc_auc needs both labels present")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+    distinct, level = np.unique(scores, return_inverse=True)
+    benign, malware = np.bincount(2 * level + y, minlength=2 * distinct.size).reshape(-1, 2).T
+    return float(malware @ (np.cumsum(benign) - benign / 2)) / (n1 * n0)
 
 
 def _check_fold_count(k: int) -> None:

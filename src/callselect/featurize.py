@@ -225,6 +225,12 @@ def read_decision_table_csv(path: str | Path) -> DecisionTable:
     )
 
 
+def check_min_df(min_df: int) -> None:
+    """The document-frequency floors the tables accept: 1 and above."""
+    if min_df < 1:
+        raise ConfigError(f"min_df must be >= 1, got {min_df}")
+
+
 def _term_frequencies(
     corpus: Corpus, min_df: int
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -232,8 +238,7 @@ def _term_frequencies(
     ln(r / df) and the tf matrix: count / the sample's total per
     (sample, vocabulary call). Rows are filled one slice at a time; an
     index array over every count would cost 8-16 bytes per count."""
-    if min_df < 1:
-        raise ConfigError(f"min_df must be >= 1, got {min_df}")
+    check_min_df(min_df)
     if set(corpus.labels) != {"M", "B"}:
         raise ConfigError("corpus must contain both labels M and B")
     df = np.bincount(corpus.indices, minlength=len(corpus.calls))

@@ -139,12 +139,9 @@ def _check_fit(X, y, trees_count: int, max_depth: int) -> tuple[np.ndarray, np.n
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
     """Per column, each value's rank among the column's distinct values."""
-    order = np.argsort(X, axis=0, kind="stable")
-    ordered = np.take_along_axis(X, order, axis=0)
-    steps = np.zeros(X.shape, dtype=np.int32)
-    steps[1:] = ordered[1:] != ordered[:-1]
-    ranks = np.empty_like(steps)
-    np.put_along_axis(ranks, order, np.cumsum(steps, axis=0, dtype=np.int32), axis=0)
+    ranks = np.empty(X.shape, dtype=np.int32)
+    for j, column in enumerate(X.T):
+        ranks[:, j] = np.unique(column, return_inverse=True)[1]
     return ranks
 
 

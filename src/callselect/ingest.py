@@ -82,6 +82,18 @@ class Corpus:
     indices: np.ndarray  # int32 column ids into calls
     counts: np.ndarray  # int64, each >= 1
 
+    def __post_init__(self) -> None:
+        """Check the layout above; a call repeated within a row is not checked (a sort per row)."""
+        ptr, ids, n = self.indptr, self.indices, len(self.sample_ids)
+        if len(self.labels) != n or ptr.shape != (n + 1,):
+            raise ConfigError("sample ids, labels and indptr must align")
+        if ptr[0] != 0 or not ptr[-1] == ids.size == self.counts.size or (np.diff(ptr) < 0).any():
+            raise ConfigError("indptr must rise from 0 to the number of counts")
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self.calls) or self.counts.min() < 1):
+            raise ConfigError("column ids must lie in [0, len(calls)), counts must be >= 1")
+        if any(a >= b for a, b in zip(self.calls, self.calls[1:])):
+            raise ConfigError("calls must be strictly ascending")
+
     @classmethod
     def from_records(cls, records: list[CallCountRecord]) -> Corpus:
         """Pack records in order; each row keeps its record's key order."""

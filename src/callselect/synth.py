@@ -96,13 +96,10 @@ def generate(spec: SynthSpec) -> tuple[Corpus, SynthSpec]:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     vocab = vocabulary(spec)
-    planted = set(spec.planted_malware_calls) | set(spec.planted_benign_calls)
-    base = np.empty(len(vocab), dtype=np.float64)
-    for j, name in enumerate(vocab):
-        lo, hi = _PLANTED_MEAN_RANGE if name in planted else _NULL_MEAN_RANGE
-        base[j] = rng.uniform(lo, hi)
-    mal_mask = np.array([name in spec.planted_malware_calls for name in vocab])
-    ben_mask = np.array([name in spec.planted_benign_calls for name in vocab])
+    mal_mask = np.isin(vocab, spec.planted_malware_calls)
+    ben_mask = np.isin(vocab, spec.planted_benign_calls)
+    lo, hi = np.where((mal_mask | ben_mask)[:, None], _PLANTED_MEAN_RANGE, _NULL_MEAN_RANGE).T
+    base = rng.uniform(lo, hi)  # takes the stream as one scalar draw per call would
     mean_m = base + spec.effect_size * mal_mask
     mean_b = base + spec.effect_size * ben_mask
 

@@ -383,6 +383,37 @@ def test_select_checks_options_before_reading_input(capsys, tmp_path, kind, opti
     assert json.loads(err) == {"error": "ConfigError", "message": message}
 
 
+def test_select_refuses_chi_on_a_decision_table(capsys, tmp_path):
+    # Every bin midpoint is above 0, so chi would see every call present in
+    # every sample; the refusal comes before the missing table is named.
+    code, out, err = _run(
+        capsys, "select", "--decision-table", str(tmp_path / "missing.csv"), "--method", "chi",
+        "--out", str(tmp_path / "sel.json"),
+    )
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "ConfigError",
+        "message": "chi reads call presence, which a pre-binned table does not keep",
+    }
+    assert not (tmp_path / "sel.json").exists()
+
+
+@pytest.mark.parametrize("command", ["featurize", "select", "eval"])
+def test_min_df_is_checked_before_records(capsys, tmp_path, command):
+    sel = tmp_path / "sel.json"
+    sel.write_text('{"ranking": ["write"]}')
+    argv = {
+        "featurize": ["--out-dir", str(tmp_path / "out")],
+        "select": ["--method", "ig", "--out", str(tmp_path / "out" / "sel.json")],
+        "eval": ["--selection", str(sel), "--lengths", "1", "--out", str(tmp_path / "out" / "e.json")],
+    }[command]
+    code, out, err = _run(capsys, command, "--records", str(tmp_path / "missing.jsonl"),
+                          "--min-df", "0", *argv)
+    assert code == 2
+    assert json.loads(err) == {"error": "ConfigError", "message": "min_df must be >= 1, got 0"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_config_is_every_option_but_the_paths(capsys, corpus, tmp_path):
     # A new parser option lands in the report's config unless it names a file.
     subparsers = next(a for a in build_parser()._actions

@@ -260,6 +260,55 @@ def test_unreadable_record_file(tmp_path):
         assert str(got.value) == str(want.value)
 
 
+# ---- the layout a Corpus checks when it is built ----
+
+
+def _hand_corpus(**change):
+    fields = dict(
+        sample_ids=("a", "b", "c"),
+        labels=("M", "B", "M"),
+        calls=("open", "read", "write"),
+        indptr=np.array([0, 2, 2, 4], dtype=np.int64),
+        indices=np.array([0, 2, 1, 2], dtype=np.int32),
+        counts=np.array([1, 3, 2, 5], dtype=np.int64),
+    )
+    fields.update(change)
+    return Corpus(**fields)
+
+
+def test_hand_corpus_is_valid():
+    assert build_fvt(_hand_corpus()).calls == ("open", "read", "write")
+    # An empty corpus is a legal layout.
+    _hand_corpus(sample_ids=(), labels=(), indptr=np.zeros(1, dtype=np.int64),
+                 indices=np.zeros(0, dtype=np.int32), counts=np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(labels=("M", "B")), "sample ids, labels and indptr must align"),
+    (dict(indptr=np.array([0, 2, 4], dtype=np.int64)), "sample ids, labels and indptr must align"),
+    (dict(indptr=np.array([1, 2, 2, 4], dtype=np.int64)), "indptr must rise"),
+    (dict(indptr=np.array([0, 2, 2, 3], dtype=np.int64)), "indptr must rise"),
+    (dict(indptr=np.array([0, 3, 2, 4], dtype=np.int64)), "indptr must rise"),
+    (dict(counts=np.array([1, 3, 2, 5, 1], dtype=np.int64)), "indptr must rise"),
+    (dict(indices=np.array([0, 2, 1, 3], dtype=np.int32)), "column ids must lie in"),
+    (dict(indices=np.array([0, -1, 1, 2], dtype=np.int32)), "column ids must lie in"),
+    (dict(counts=np.array([1, 0, 2, 5], dtype=np.int64)), "counts must be >= 1"),
+    (dict(counts=np.array([1, 3, -3, 5], dtype=np.int64)), "counts must be >= 1"),
+    (dict(calls=("read", "open", "write")), "calls must be strictly ascending"),
+    (dict(calls=("open", "open", "write")), "calls must be strictly ascending"),
+], ids=["labels-short", "indptr-short", "indptr-start", "indptr-end", "indptr-falls",
+        "counts-long", "column-above", "column-negative", "count-zero", "count-negative",
+        "calls-unsorted", "calls-repeated"])
+def test_corpus_refuses_a_broken_layout(change, message):
+    with pytest.raises(ConfigError, match=message):
+        _hand_corpus(**change)
+
+
+def test_from_records_refuses_a_zero_count():
+    with pytest.raises(ConfigError, match="counts must be >= 1"):
+        _corpus([_rec("m", "M", {"open": 2}), _rec("b", "B", {"open": 1, "read": 0})])
+
+
 # ---- the whole-text reader this module's reader replaced, kept verbatim as its judge ----
 
 

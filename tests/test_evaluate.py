@@ -20,7 +20,7 @@ from callselect import (
     sweep,
     train,
 )
-from callselect.evaluate import _average_ranks, _confusion, _fold_seed
+from callselect.evaluate import _confusion, _fold_seed
 from callselect.forest import TreeEnsemble
 
 
@@ -258,14 +258,30 @@ def test_roc_extremes():
     assert roc_auc([0.5, 0.5, 0.5, 0.5], ["M", "M", "B", "B"]) == 0.5
 
 
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30))
-def test_average_ranks_match_definition(values):
-    # rank = 1 + (values below) + (ties - 1) / 2, i.e. the mean of the tied ranks
-    got = _average_ranks(np.array(values, dtype=np.float64))
-    for i, x in enumerate(values):
-        below = sum(v < x for v in values)
-        ties = sum(v == x for v in values)
-        assert got[i] == below + (ties + 1) / 2
+def test_roc_equals_pairwise_oracle_exactly_on_ties():
+    # U is a sum of half-integers, so counting per distinct score must give
+    # the pair count's bits, not merely a close value.
+    rng = np.random.default_rng(25)
+    levels = np.array([-0.0, 0.0, 1e-300, 0.1, 1 / 3, 0.5, 0.7, 1.0])
+    for case in range(300):
+        n = int(rng.integers(2, 120))
+        if case % 3 == 0:
+            scores = rng.choice(levels, n)
+        elif case % 3 == 1:
+            scores = rng.integers(0, 11, n) / 10
+        else:
+            scores = rng.uniform(0, 1, n)
+        labels = ["M" if m else "B" for m in rng.integers(0, 2, n)]
+        labels[0], labels[-1] = "M", "B"
+        got = roc_auc(scores, labels)
+        assert type(got) is float
+        assert got == pairwise_roc_auc(scores.tolist(), labels), case
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_refuses_non_finite_scores(bad):
+    with pytest.raises(ConfigError, match="scores must be finite"):
+        roc_auc([0.2, bad, 0.7, 0.1], ["M", "M", "B", "B"])
 
 
 def test_roc_requires_both_classes():

@@ -19,7 +19,6 @@ from callselect.cli import main
 TOY = Path(__file__).parent / "data" / "toy_decision_table.csv"
 
 EXPECTED = {
-    "table_chi": "f66061e6c0a471d58874a006814be66055b32a2d8ee3ae7b5ed117dc6af09a3e",
     "table_ig": "fbea6a9801d764bce062a628d44fac64df0a7797d1ce3610599597ad615f9347",
     "table_roughset": "6c030f178070025972b89932b1847178b515ed8bbf4768289cdd15a6b4171dbc",
     "table_rsst": "51bc9883007196080feb1950e343784511ab316c36e654c278fb1842e6725dc5",
@@ -34,7 +33,6 @@ EXPECTED = {
 }
 
 TABLE_RUNS = {
-    "table_chi": ["--method", "chi"],
     "table_ig": ["--method", "ig"],
     "table_roughset": ["--method", "roughset"],
     "table_rsst": ["--method", "rsst"],
