@@ -60,7 +60,11 @@ def information_gain(table: DecisionTable) -> list[float]:
 def chi_square(fvt: FeatureVectorTable) -> list[float]:
     """2x2 presence/absence chi-square per call; zero marginals score 0.
 
-    The statistic stays in Python ints: N*(AD-CB)^2 overflows int64."""
+    The statistic stays in Python ints: N*(AD-CB)^2 overflows int64. A
+    table of bin midpoints (fvt.binned) is refused: every midpoint is above
+    0, so it would score every call as present in every sample."""
+    if fvt.binned:
+        raise ConfigError("chi reads call presence, which a pre-binned table does not keep")
     present, is_m = fvt.weights > 0, fvt.y == 1
     n, n_m = len(is_m), int(is_m.sum())
     scores = []

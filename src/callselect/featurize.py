@@ -88,6 +88,7 @@ class FeatureVectorTable(_Table):
     calls: tuple[str, ...]
     weights: np.ndarray  # shape (len(sample_ids), len(calls)), float64 in [0, 1]
     labels: tuple[str, ...]
+    binned: bool = False  # weights are bin midpoints (midpoint_table): call presence is lost
 
     def __post_init__(self) -> None:
         self._check(self.weights, "weights")
@@ -316,4 +317,5 @@ def midpoint_table(table: DecisionTable) -> FeatureVectorTable:
     """Each bin's midpoint as the weight (B1 .125, B2 .375, B3 .625, B4
     .875), which discretize maps back to the same bin."""
     return FeatureVectorTable(table.sample_ids, table.calls,
-                              table.bins.astype(np.float64) * 0.25 - 0.125, table.labels)
+                              table.bins.astype(np.float64) * 0.25 - 0.125, table.labels,
+                              binned=True)

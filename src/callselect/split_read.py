@@ -1,0 +1,127 @@
+"""Read a large records file on two processes: a child made with os.fork
+parses the lines that start in the second half while the caller parses
+the first, and sends its rows back through a pipe. Imported by
+ingest.read_records_jsonl only for a file of at least ingest.SPLIT_BYTES,
+so importing the CLI never loads it."""
+from __future__ import annotations
+
+import gc
+import os
+import pickle
+import signal
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+
+from . import ingest
+from .errors import ConfigError
+
+
+def _fill(pipe, out: np.ndarray) -> None:
+    """Read out's bytes from pipe; EOFError if the pipe ends first."""
+    if pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise EOFError("the pipe ended early")
+
+
+def _join(first: tuple, pipe) -> ingest.Corpus:
+    """The Corpus of first, ingest._read_span's result for the first half,
+    and of the second half that the child wrote to pipe: its message when
+    it found a bad line, else (sample ids, labels, names, number of counts)
+    pickled, then its indptr, indices and counts. The arrays are allocated
+    at their final size; the child's are read straight into them, and
+    first's are copied and let go one at a time."""
+    head = pickle.load(pipe)
+    if isinstance(head, str):
+        raise ConfigError(head)
+    ids2, labels2, names2, nnz2 = head
+    ids1, labels1, names1, ptr1, idx1, cnt1 = first
+    del first
+    calls, (remap1, remap2) = ingest._vocabulary(names1, names2)
+    n1, nnz1 = len(ids1), len(cnt1)
+    indptr = np.empty(n1 + len(ids2) + 1, dtype=np.int64)
+    indptr[:n1] = np.frombuffer(ptr1, dtype=np.int64)[:-1]
+    del ptr1
+    _fill(pipe, indptr[n1:])  # the child's starts at 0
+    indptr[n1:] += nnz1
+    indices = np.empty(nnz1 + nnz2, dtype=np.int32)
+    np.take(remap1, np.frombuffer(idx1, dtype=np.int32), out=indices[:nnz1])
+    del idx1
+    _fill(pipe, indices[nnz1:])
+    np.take(remap2, indices[nnz1:], out=indices[nnz1:])
+    counts = np.empty(nnz1 + nnz2, dtype=np.int64)
+    counts[:nnz1] = np.frombuffer(cnt1, dtype=np.int64)
+    del cnt1
+    _fill(pipe, counts[nnz1:])
+    return ingest.Corpus(sample_ids=(*ids1, *ids2), labels=(*labels1, *labels2), calls=calls,
+                         indptr=indptr, indices=indices, counts=counts)
+
+
+def _split_point(path: str | Path) -> int | None:
+    """Where the child starts reading path: just after the first b"\\n" at
+    or after half its size. None when the file is unreadable, no line
+    starts in its second half, there is no os.fork or no second CPU, or a
+    thread other than this one runs (a forked child holds only the forking
+    thread; the child calls no BLAS, so numpy's native threads do not
+    count)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if not hasattr(os, "fork") or (cpus or 1) < 2 or threading.active_count() != 1:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            fh.seek(size // 2)
+            mid = size // 2 + len(fh.readline())
+    except OSError:
+        return None
+    return mid if mid < size else None
+
+
+def read_split(path: str | Path) -> ingest.Corpus | None:
+    """The Corpus of path read on two processes, or None when the caller
+    should read it alone: _split_point finds no cut, os.fork fails, or the
+    child ends without its result. A bad line raises the one-process
+    read's ConfigError; the child is reaped before this returns or raises."""
+    mid = _split_point(path)
+    if mid is None:
+        return None
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child: writes to the pipe only and never returns
+        code = 1
+        try:
+            os.close(r)
+            gc.disable()
+            with os.fdopen(w, "wb") as pipe:
+                try:
+                    span = ingest._read_span(path, mid, None)
+                except ConfigError as exc:
+                    pickle.dump(str(exc), pipe)
+                else:
+                    pickle.dump((*span[:3], len(span[5])), pipe)
+                    for buffer in span[3:]:
+                        pipe.write(buffer)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            try:
+                return _join(ingest._read_span(path, 0, mid), pipe)
+            except (EOFError, pickle.UnpicklingError):
+                return None  # the child ended without its result
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)

@@ -15,9 +15,11 @@ from callselect import (
     discretize,
     entropy_bits,
     information_gain,
+    midpoint_table,
     rank,
     symmetric_uncertainty,
 )
+from callselect.cli import select_report
 
 
 def _table(bins, labels, calls=None):
@@ -93,6 +95,24 @@ def test_chi_square_zero_marginal():
     # absent everywhere behaves the same
     fvt0 = _fvt([[0.0], [0.0], [0.0], [0.0]], ["M", "M", "B", "B"])
     assert chi_square(fvt0)[0] == 0.0
+
+
+def test_chi_square_refuses_a_midpoint_table():
+    # Every bin midpoint is above 0: scored, every call would be present everywhere.
+    table = _table([[1, 4], [2, 1], [1, 1], [3, 2]], ["M", "M", "B", "B"])
+    fvt = midpoint_table(table)
+    assert fvt.binned
+    message = "chi reads call presence, which a pre-binned table does not keep"
+    for score in (chi_square, lambda t: rank(t, "chi"),
+                  lambda t: select_report(t, {"method": "chi", "top_k": None,
+                                              "z_candidates": "reduct", "alpha": 0.05,
+                                              "z_crit": None, "sigma_as_stddev": False})):
+        with pytest.raises(ConfigError, match=message):
+            score(fvt)
+    # The same weights in a table that does not say it is binned are scored.
+    plain = FeatureVectorTable(fvt.sample_ids, fvt.calls, fvt.weights, fvt.labels)
+    assert chi_square(plain) == [0.0, 0.0] and not plain.binned
+    assert [f.call for f in rank(plain, "IG")] == [f.call for f in rank(fvt, "IG")]
 
 
 def test_symmetric_uncertainty_perfect_and_useless():

@@ -443,7 +443,11 @@ def test_select_report_checks_its_options_for_every_method():
     bad = [({"z_crit": float("nan")}, "z_crit"), ({"alpha": 7.0}, "alpha"),
            ({"top_k": 0}, "k must be >= 1")]
     for method in METHODS:
-        assert select_report(fvt, {**good, "method": method})["ranking"]
+        if method == "chi":  # the options pass; the midpoint table is refused
+            with pytest.raises(callselect.ConfigError, match="pre-binned table"):
+                select_report(fvt, {**good, "method": method})
+        else:
+            assert select_report(fvt, {**good, "method": method})["ranking"]
         for change, match in bad:
             with pytest.raises(callselect.ConfigError, match=match):
                 select_report(fvt, {**good, "method": method, **change})
@@ -753,6 +757,17 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(callselect.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import callselect.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_or_pool_module():
+    # The split records read and what it forks with load only when a large file is read.
+    src = str(Path(callselect.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import callselect.cli; "
+            "print(sorted(m for m in sys.modules if m == 'callselect.split_read' or "
+            "m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

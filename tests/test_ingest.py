@@ -290,6 +290,21 @@ def test_records_writer_matches_reference_on_awkward_rows(tmp_path):
     _assert_writer_matches_reference(corpus, tmp_path)
 
 
+def test_records_writer_matches_reference_with_counts_at_and_above_the_cell_cap(tmp_path):
+    """Rows of counts below the writer's cell cap, an unsorted one among
+    them, and rows holding a count at or above it. 305 counts over 10 calls
+    cap the cells at 30 (below max count + 1)."""
+    recs = [CallCountRecord(f"s{i}", "MB"[i % 2], {f"c{j}": 1 + (i * j) % 7 for j in range(10)},
+                            0) for i in range(30)]
+    recs += [CallCountRecord("unsorted", "M", {"c9": 3, "c0": 29}, 32),
+             CallCountRecord("at-cap", "B", {"c1": 30}, 30),
+             CallCountRecord("far-above", "M", {"c2": 2**62}, 2**62),
+             CallCountRecord("empty", "B", {}, 0)]
+    corpus = Corpus.from_records(recs)
+    assert corpus.counts.size // len(corpus.calls) == 30 < corpus.counts.max()
+    _assert_writer_matches_reference(corpus, tmp_path)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -4,6 +4,7 @@ a multiple of what each one returns, reads or writes from, and the CLI
 letting the corpus go before it selects or writes.
 The digests cannot see a memory regression; these can."""
 
+import os
 import tracemalloc
 import weakref
 
@@ -16,7 +17,9 @@ from callselect import (
     class_stats,
     cli,
     evaluate,
+    ingest,
     read_records_jsonl,
+    split_read,
     write_records_jsonl,
 )
 from callselect.synth import default_spec, generate
@@ -54,6 +57,18 @@ def test_generate_peak_is_a_few_count_matrices():
 
 def test_reader_peak_is_below_twice_the_file(records_file):
     # Whole-text decoding holds the bytes and the text at once (2.13x).
+    corpus, peak = _peak(lambda: read_records_jsonl(records_file))
+    assert len(corpus.sample_ids) == 1000
+    assert peak <= 1.75 * records_file.stat().st_size, peak / records_file.stat().st_size
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["in-process", "split"])
+def test_reader_peak_in_this_process_is_below_twice_the_file(records_file, monkeypatch, split):
+    # Split, this process holds its half's buffers while the joined arrays
+    # fill; the child's memory is its own and tracemalloc here cannot see it.
+    monkeypatch.setattr(ingest, "SPLIT_BYTES", 0 if split else 1 << 62)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert not split or split_read._split_point(records_file) is not None
     corpus, peak = _peak(lambda: read_records_jsonl(records_file))
     assert len(corpus.sample_ids) == 1000
     assert peak <= 1.75 * records_file.stat().st_size, peak / records_file.stat().st_size
