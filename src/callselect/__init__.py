@@ -26,6 +26,7 @@ from .evaluate import (
     roc_auc,
     stratified_folds,
     sweep,
+    sweep_folds,
 )
 from .featurize import (
     BIN_LABELS,

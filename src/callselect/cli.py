@@ -196,6 +196,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import time
+
     # The records are read last, so a bad selection or option fails fast.
     try:
         selection = json.loads(read_input(args.selection, "selection report"))
@@ -209,6 +211,7 @@ def _cmd_eval(args) -> int:
     evaluate.check_sweep(ranking, args.lengths, args.folds, args.trees, args.max_depth)
     check_min_df(args.min_df)
     fvt = build_fvt(read_records_jsonl(args.records), min_df=args.min_df)
+    t0 = time.perf_counter()
     report = evaluate.sweep(
         fvt,
         ranking,
@@ -218,16 +221,12 @@ def _cmd_eval(args) -> int:
         trees_count=args.trees,
         max_depth=args.max_depth,
     )
+    print(f"trained {args.folds} folds x {len(args.lengths)} lengths "
+          f"in {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     config = {**_options(args), "selection_method": selection.get("method")}
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     _dump_json({"config": config, **report.to_json_dict()}, out)
-    for row in report.rows:
-        print(
-            f"length {row.length}: trained {args.folds} folds "
-            f"in {row.train_seconds:.2f}s",
-            file=sys.stderr,
-        )
     written = [out]
     if args.csv:
         csv_path = Path(args.csv)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,8 +51,8 @@ class ConfusionMatrix:
 @dataclass(frozen=True, kw_only=True)
 class LengthResult:
     """The metrics of one ranking prefix. metrics() fills the confusion
-    metrics; sweep also gives the length, roc_auc from the out-of-fold
-    scores, each fold's confusion and the training time."""
+    metrics; sweep_folds also gives the length, roc_auc from the
+    out-of-fold scores and each fold's confusion."""
 
     acc: float
     fpr: float
@@ -62,7 +61,6 @@ class LengthResult:
     length: int = 0
     roc_auc: float = math.nan
     folds: tuple[ConfusionMatrix, ...] = ()
-    train_seconds: float = 0.0
 
     def metric_dict(self) -> dict:
         return {m: getattr(self, m) for m in METRIC_NAMES}
@@ -188,6 +186,54 @@ def check_sweep(
     check_sizes(trees_count, max_depth)
 
 
+def sweep_folds(
+    fvt: FeatureVectorTable,
+    rankings: Sequence[Sequence[str]],
+    lengths: Sequence[int],
+    seed: int = DEFAULT_SEED,
+    trees_count: int = DEFAULT_TREES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> list[tuple[LengthResult, np.ndarray]]:
+    """Cross-validate ranking prefixes with one ranking per fold: the folds
+    are stratified_folds(fvt.labels, len(rankings), seed), and fold i's
+    model at each length trains on the first length calls of rankings[i].
+    Per length, its LengthResult and the out-of-fold malware score of
+    every row. Each (length, fold) fit is seeded by _fold_seed alone and
+    reads no other fit, so forked.map_jobs may share the fits between two
+    processes without changing any result."""
+    for ranking in rankings:
+        check_sweep(ranking, lengths, len(rankings), trees_count, max_depth)
+    fold_indices = stratified_folds(fvt.labels, len(rankings), seed)
+    n, k = fvt.n_samples, len(fold_indices)
+
+    def fit(job: int) -> np.ndarray:
+        # Fold i's rows are scored by a model trained on all other rows.
+        length, i = lengths[job // k], job % k
+        X = fvt.weights[:, [fvt.column_index(c) for c in rankings[i][:length]]]
+        test_idx = fold_indices[i]
+        train_idx = np.delete(np.arange(n), test_idx)
+        model = train(X[train_idx], fvt.y[train_idx], seed=_fold_seed(seed, length, i),
+                      trees_count=trees_count, max_depth=max_depth)
+        return predict_scores(model, X[test_idx])
+
+    from .forked import map_jobs
+
+    scores = map_jobs(fit, len(lengths) * k)
+    results = []
+    for start, length in zip(range(0, len(scores), k), lengths):
+        oof = np.zeros(n, dtype=np.float64)
+        for test_idx, fold_scores in zip(fold_indices, scores[start:start + k]):
+            oof[test_idx] = fold_scores
+        malware = oof > 0.5  # the rule predict uses
+        results.append((metrics(
+            _confusion(fvt.y, malware),
+            length=length,
+            roc_auc=roc_auc(oof, fvt.labels),
+            folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices),
+        ), oof))
+    return results
+
+
 def sweep(
     fvt: FeatureVectorTable,
     ranking: Sequence[str],
@@ -197,33 +243,12 @@ def sweep(
     trees_count: int = DEFAULT_TREES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> EvalReport:
-    """Evaluate ranking prefixes of the given lengths under k-fold CV."""
+    """Evaluate ranking prefixes of the given lengths under k-fold CV:
+    sweep_folds with the same ranking for every fold."""
     ranking = list(ranking)
     check_sweep(ranking, lengths, folds, trees_count, max_depth)
-    fold_indices = stratified_folds(fvt.labels, folds, seed)
-    n = fvt.n_samples
-    rows: list[LengthResult] = []
-    for length in lengths:
-        X = fvt.weights[:, [fvt.column_index(c) for c in ranking[:length]]]
-        # Each fold's rows are scored by a model trained on all other rows,
-        # giving one out-of-fold malware score per row.
-        oof = np.zeros(n, dtype=np.float64)
-        spent = 0.0
-        for i, test_idx in enumerate(fold_indices):
-            train_idx = np.delete(np.arange(n), test_idx)
-            t0 = time.perf_counter()
-            model = train(X[train_idx], fvt.y[train_idx], seed=_fold_seed(seed, length, i),
-                          trees_count=trees_count, max_depth=max_depth)
-            spent += time.perf_counter() - t0
-            oof[test_idx] = predict_scores(model, X[test_idx])
-        malware = oof > 0.5  # the rule predict uses
-        rows.append(metrics(
-            _confusion(fvt.y, malware),
-            length=length,
-            roc_auc=roc_auc(oof, fvt.labels),
-            folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices),
-            train_seconds=spent,
-        ))
+    rows = [row for row, _ in sweep_folds(fvt, [ranking] * folds, lengths, seed,
+                                          trees_count, max_depth)]
     average = {
         m: float(np.mean([r.metric_dict()[m] for r in rows])) for m in METRIC_NAMES
     }

@@ -1,22 +1,19 @@
 """Read a large records file on two processes: a child made with os.fork
 parses the lines that start in the second half while the caller parses
-the first, and sends its rows back through a pipe. Imported by
-ingest.read_records_jsonl only for a file of at least ingest.SPLIT_BYTES,
-so importing the CLI never loads it."""
+the first, and sends its rows back through a pipe (forked.run_forked).
+Imported by ingest.read_records_jsonl only for a file of at least
+ingest.SPLIT_BYTES, so importing the CLI never loads it."""
 from __future__ import annotations
 
-import gc
 import os
 import pickle
-import signal
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest
 from .errors import ConfigError
+from .forked import can_fork, run_forked
 
 
 def _fill(pipe, out: np.ndarray) -> None:
@@ -60,13 +57,9 @@ def _join(first: tuple, pipe) -> ingest.Corpus:
 
 def _split_point(path: str | Path) -> int | None:
     """Where the child starts reading path: just after the first b"\\n" at
-    or after half its size. None when the file is unreadable, no line
-    starts in its second half, there is no os.fork or no second CPU, or a
-    thread other than this one runs (a forked child holds only the forking
-    thread; the child calls no BLAS, so numpy's native threads do not
-    count)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if not hasattr(os, "fork") or (cpus or 1) < 2 or threading.active_count() != 1:
+    or after half its size. None when forked.can_fork says no, the file is
+    unreadable or no line starts in its second half."""
+    if not can_fork():
         return None
     try:
         with open(path, "rb") as fh:
@@ -78,6 +71,19 @@ def _split_point(path: str | Path) -> int | None:
     return mid if mid < size else None
 
 
+def _write_span(path: str | Path, start: int, pipe) -> None:
+    """The child's half for _join: the lines of path from start on, or the
+    message of their first bad line."""
+    try:
+        span = ingest._read_span(path, start, None)
+    except ConfigError as exc:
+        pickle.dump(str(exc), pipe)
+    else:
+        pickle.dump((*span[:3], len(span[5])), pipe)
+        for buffer in span[3:]:
+            pipe.write(buffer)
+
+
 def read_split(path: str | Path) -> ingest.Corpus | None:
     """The Corpus of path read on two processes, or None when the caller
     should read it alone: _split_point finds no cut, os.fork fails, or the
@@ -86,42 +92,5 @@ def read_split(path: str | Path) -> ingest.Corpus | None:
     mid = _split_point(path)
     if mid is None:
         return None
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child: writes to the pipe only and never returns
-        code = 1
-        try:
-            os.close(r)
-            gc.disable()
-            with os.fdopen(w, "wb") as pipe:
-                try:
-                    span = ingest._read_span(path, mid, None)
-                except ConfigError as exc:
-                    pickle.dump(str(exc), pipe)
-                else:
-                    pickle.dump((*span[:3], len(span[5])), pipe)
-                    for buffer in span[3:]:
-                        pipe.write(buffer)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        with os.fdopen(r, "rb") as pipe:
-            try:
-                return _join(ingest._read_span(path, 0, mid), pipe)
-            except (EOFError, pickle.UnpicklingError):
-                return None  # the child ended without its result
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
+    return run_forked(lambda pipe: _write_span(path, mid, pipe),
+                      lambda pipe: _join(ingest._read_span(path, 0, mid), pipe))

@@ -18,6 +18,7 @@ from callselect import (
     roc_auc,
     stratified_folds,
     sweep,
+    sweep_folds,
     train,
 )
 from callselect.evaluate import _confusion, _fold_seed
@@ -427,6 +428,53 @@ def test_sweep_folds_match_direct_training(seed):
         )
         ms = metrics(summed)
         assert (row.acc, row.fpr, row.paper_auc, row.f1) == (ms.acc, ms.fpr, ms.paper_auc, ms.f1)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15)
+def test_sweep_folds_with_a_ranking_per_fold_match_direct_training(seed):
+    # fold i trains on the prefix of its own ranking; the out-of-fold
+    # scores are predict_scores of those models, and each row is derived
+    # from them
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n_m, n_b = int(rng.integers(k, 15)), int(rng.integers(k, 15))
+    n, d = n_m + n_b, int(rng.integers(2, 6))
+    labels = ["M"] * n_m + ["B"] * n_b
+    order = rng.permutation(n)
+    fvt = _fvt(np.round(rng.uniform(0, 1, (n, d)), 1), [labels[i] for i in order])
+    base = [str(c) for c in rng.permutation(fvt.calls)]
+    rankings = [base[i % d:] + base[:i % d] for i in range(k)]  # folds 0 and 1 differ
+    lengths = [int(x) for x in rng.permutation(np.arange(1, d + 1))[:int(rng.integers(1, d + 1))]]
+    trees, depth = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    got = sweep_folds(fvt, rankings, lengths, seed=seed, trees_count=trees, max_depth=depth)
+
+    fold_indices = stratified_folds(fvt.labels, k, seed)
+    assert len(got) == len(lengths)
+    for length, (row, oof) in zip(lengths, got):
+        want = np.zeros(n)
+        for i, test in enumerate(fold_indices):
+            Xl = np.column_stack([fvt.column(c) for c in rankings[i][:length]])
+            rest = np.setdiff1d(np.arange(n), test)
+            model = train(Xl[rest], fvt.y[rest], seed=_fold_seed(seed, length, i),
+                          trees_count=trees, max_depth=depth)
+            want[test] = predict_scores(model, Xl[test])
+        assert np.array_equal(oof, want)
+        malware = want > 0.5
+        assert row == metrics(
+            _confusion(fvt.y, malware), length=length, roc_auc=roc_auc(want, fvt.labels),
+            folds=tuple(_confusion(fvt.y[f], malware[f]) for f in fold_indices))
+
+
+def test_sweep_folds_checks_every_fold_ranking():
+    fvt = _separable(10, extra_noise_cols=2)
+    calls = list(fvt.calls)
+    with pytest.raises(ConfigError, match="requested 3 of 2 ranked features"):
+        sweep_folds(fvt, [calls, calls[:2]], lengths=[3], trees_count=2)
+    with pytest.raises(ConfigError, match="repeated call"):
+        sweep_folds(fvt, [calls, [calls[0]] * 3], lengths=[1], trees_count=2)
+    with pytest.raises(ConfigError, match="fold count must be >= 2"):
+        sweep_folds(fvt, [calls], lengths=[1], trees_count=2)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
