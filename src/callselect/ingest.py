@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from array import array
 from collections import defaultdict
@@ -131,11 +132,17 @@ class IngestResult:
     summaries: list[ParseSummary]
 
 
-def read_input(path: str | Path, what: str, errors: str = "strict") -> str:
-    """The whole UTF-8 file with its line ends as written; an unreadable
-    or undecodable one is a ConfigError."""
+def read_input(path: str | Path, what: str, errors: str = "strict",
+               start: int = 0, stop: int | None = None) -> str:
+    """The UTF-8 text of the file's bytes [start, stop), the whole file by
+    default, with its line ends as written; an unreadable or undecodable
+    one is a ConfigError."""
     try:
-        return Path(path).read_bytes().decode("utf-8", errors=errors)
+        with open(Path(path), "rb") as fh:
+            if start:
+                fh.seek(start)
+            data = fh.read() if stop is None else fh.read(stop - start)
+        return data.decode("utf-8", errors=errors)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {str(path)!r}: {exc}") from exc
 
@@ -152,9 +159,9 @@ def parse_line(line: str) -> TraceLine:
     return TraceLine(kind, m["call"] or m["resumed"])
 
 
-def parse_log_detailed(
-    lines: Iterable[str], sample_id: str, label: str, path: str = ""
-) -> tuple[CallCountRecord, ParseSummary]:
+def _tally(lines: Iterable[str], label: str) -> tuple[dict[str, int], dict[str, int]]:
+    """(completed calls and unfinished heads counted by name, lines counted
+    by kind); a label not in LABELS is a ConfigError."""
     if label not in LABELS:
         raise ConfigError(f"label must be one of {LABELS}, got {label!r}")
     # parse_line inlined, without a TraceLine per line; defaultdict(int)
@@ -174,6 +181,20 @@ def parse_log_detailed(
                 kind = "unfinished"
             counts[m["call"]] += 1
         kinds[kind] += 1
+    return counts, kinds
+
+
+def _summed(
+    sample_id: str, label: str, path: str, tallies: list[tuple[dict[str, int], dict[str, int]]]
+) -> tuple[CallCountRecord, ParseSummary]:
+    """The record and summary of a log whose pieces gave tallies."""
+    counts: defaultdict[str, int] = defaultdict(int)
+    kinds = {k: 0 for k in LINE_KINDS}
+    for piece_counts, piece_kinds in tallies:
+        for name, n in piece_counts.items():
+            counts[name] += n
+        for kind, n in piece_kinds.items():
+            kinds[kind] += n
     record = CallCountRecord(
         sample_id=sample_id,
         label=label,
@@ -183,23 +204,90 @@ def parse_log_detailed(
     return record, ParseSummary(sample_id=sample_id, path=path, by_kind=kinds)
 
 
+def parse_log_detailed(
+    lines: Iterable[str], sample_id: str, label: str, path: str = ""
+) -> tuple[CallCountRecord, ParseSummary]:
+    return _summed(sample_id, label, path, [_tally(lines, label)])
+
+
+# Records files and trace logs of at least this many bytes are cut in two
+# (second_half_start) and parsed by two processes at once where os.fork
+# may (forked.can_fork); ingest_corpus also forks for a manifest whose logs
+# hold this many bytes in all. Measured on 2 cores in a 100 MB process
+# (median of 15, one process against two): records files 128 KiB 3.8
+# against 7.6 ms, 512 KiB 14.4 against 14.9 ms, 1 MiB 37.5 against
+# 32.4 ms; one trace log 128 KiB 6.2 against 9.1 ms, 512 KiB 12.0 against
+# 12.1 ms, 1 MiB 22.5 against 20.0 ms, 2 MiB 48.8 against 36.3 ms; 20
+# trace logs holding 512 KiB 12.0 against 17.1 ms, 1 MiB 37.2 against
+# 28.9 ms.
+SPLIT_BYTES = 1 << 20
+
+
+def second_half_start(path: str | Path) -> int | None:
+    """Where a second process starts reading path: just after the first
+    b"\\n" at or after half its size. None when no line starts in the
+    second half; an unreadable path raises its OSError."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(size // 2)
+        mid = size // 2 + len(fh.readline())
+    return mid if mid < size else None
+
+
 def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
-    """Parse every log named by (path, label, sample_id) rows, in order."""
-    records: list[CallCountRecord] = []
-    summaries: list[ParseSummary] = []
+    """Parse every log named by (path, label, sample_id) rows, in order.
+    The error is the first one met row by row: a sample_id seen before,
+    then an unreadable log, then a label not in LABELS.
+
+    A log of at least SPLIT_BYTES is two pieces, cut at second_half_start;
+    any other, or one that cannot be sized or cut, is one. A line's kind
+    depends on that line alone and a resumed line is never counted, so a
+    log's tallies are the sums of its pieces'; a cut just after b"\\n"
+    splits no line break and no UTF-8 sequence. When the logs hold at
+    least SPLIT_BYTES in all, forked.map_jobs parses the pieces on two
+    processes, a cut log's halves one on each, with the same result."""
+    rows: list[tuple[str, str, str]] = []
     seen: set[str] = set()
+    duplicate = None
     for path, label, sample_id in manifest:
         if sample_id in seen:
-            raise ConfigError(f"duplicate sample_id: {sample_id!r}")
+            duplicate = sample_id
+            break
         seen.add(sample_id)
+        rows.append((path, label, sample_id))
+    pieces: list[tuple[int, int, int | None]] = []  # (row, start, stop)
+    size = 0
+    for i, (path, _, _) in enumerate(rows):
+        try:
+            n = os.stat(path).st_size
+            mid = second_half_start(path) if n >= SPLIT_BYTES else None
+        except OSError:  # the piece's read names the error
+            n, mid = 0, None
+        size += n
+        pieces += [(i, 0, None)] if mid is None else [(i, 0, mid), (i, mid, None)]
+
+    def parse(j: int) -> tuple[dict[str, int], dict[str, int]]:
+        i, start, stop = pieces[j]
+        path, label, _ = rows[i]
         # Trace logs are byte streams of uncertain encoding; decode lossily.
-        text = read_input(path, "trace log", errors="replace")
-        record, summary = parse_log_detailed(
-            text.splitlines(), sample_id, label, path=str(path)
-        )
-        records.append(record)
-        summaries.append(summary)
-    return IngestResult(corpus=Corpus.from_records(records), summaries=summaries)
+        text = read_input(path, "trace log", errors="replace", start=start, stop=stop)
+        return _tally(text.splitlines(), label)
+
+    if size >= SPLIT_BYTES:
+        from .forked import map_jobs
+
+        tallies = map_jobs(parse, len(pieces))
+    else:
+        tallies = [parse(j) for j in range(len(pieces))]
+    if duplicate is not None:
+        raise ConfigError(f"duplicate sample_id: {duplicate!r}")
+    by_row: list[list] = [[] for _ in rows]
+    for (i, _, _), tally in zip(pieces, tallies):
+        by_row[i].append(tally)
+    parsed = [_summed(sample_id, label, str(path), row_tallies)
+              for (path, label, sample_id), row_tallies in zip(rows, by_row)]
+    return IngestResult(corpus=Corpus.from_records([record for record, _ in parsed]),
+                        summaries=[summary for _, summary in parsed])
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str, str]]:
@@ -275,14 +363,6 @@ def write_records_jsonl(corpus: Corpus, path: str | Path) -> None:
                 total = sum(values)
             fh.write(f'{{"counts": {{{body}}}, "label": {json.dumps(label)}, '
                      f'"sample_id": {json.dumps(sample_id)}, "total": {total}}}\n')
-
-
-# Records files of at least this many bytes are parsed by two processes at
-# once where read_records_jsonl can fork (split_read.py). Measured on 2
-# cores in a 100 MB process (median of 15 reads, one process against two):
-# 128 KiB 3.8 against 7.6 ms, 512 KiB 14.4 against 14.9 ms, 1 MiB 37.5
-# against 32.4 ms.
-SPLIT_BYTES = 1 << 20
 
 
 def _lines_before(path: str | Path, start: int) -> int:
@@ -399,8 +479,6 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     is the whole file if the child ends without its result. The child is
     reaped before this returns or raises.
     """
-    import os
-
     try:
         large = os.stat(path).st_size >= SPLIT_BYTES
     except OSError:

@@ -5,7 +5,6 @@ Imported by ingest.read_records_jsonl only for a file of at least
 ingest.SPLIT_BYTES, so importing the CLI never loads it."""
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 
@@ -56,19 +55,15 @@ def _join(first: tuple, pipe) -> ingest.Corpus:
 
 
 def _split_point(path: str | Path) -> int | None:
-    """Where the child starts reading path: just after the first b"\\n" at
-    or after half its size. None when forked.can_fork says no, the file is
-    unreadable or no line starts in its second half."""
+    """Where the child starts reading path (ingest.second_half_start), or
+    None when forked.can_fork says no, the file is unreadable or no line
+    starts in its second half."""
     if not can_fork():
         return None
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            fh.seek(size // 2)
-            mid = size // 2 + len(fh.readline())
+        return ingest.second_half_start(path)
     except OSError:
         return None
-    return mid if mid < size else None
 
 
 def _write_span(path: str | Path, start: int, pipe) -> None:
