@@ -232,13 +232,20 @@ def check_min_df(min_df: int) -> None:
         raise ConfigError(f"min_df must be >= 1, got {min_df}")
 
 
+# Count entries per block of tf rows: each block's temporaries (a float, a
+# divisor and a row and column id per entry) stay far below the tf matrix.
+_TF_BLOCK = 8192
+
+
 def _term_frequencies(
     corpus: Corpus, min_df: int
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The vocabulary (calls in at least min_df samples, sorted), its idf
     ln(r / df) and the tf matrix: count / the sample's total per
-    (sample, vocabulary call). Rows are filled one slice at a time; an
-    index array over every count would cost 8-16 bytes per count."""
+    (sample, vocabulary call). Rows are filled a block of about _TF_BLOCK
+    entries at a time: one reduceat for the row sums, one repeat for the
+    divisors and one scatter; index arrays over every count would cost
+    8-16 bytes per count."""
     check_min_df(min_df)
     if set(corpus.labels) != {"M", "B"}:
         raise ConfigError("corpus must contain both labels M and B")
@@ -250,20 +257,30 @@ def _term_frequencies(
     col = None  # the identity unless min_df prunes
     if len(vocab) < len(corpus.calls):
         col = np.where(kept, np.cumsum(kept) - 1, -1)
-    tf = np.zeros((len(corpus.sample_ids), len(vocab)), dtype=np.float64)
-    bounds = corpus.indptr.tolist()
-    for row, a, b in zip(tf, bounds, bounds[1:]):
-        if a == b:
-            continue
-        counts = corpus.counts[a:b]
-        values = counts / counts.sum()
-        idx = corpus.indices[a:b]
-        if col is not None:
-            idx = col[idx]
-            keep = idx >= 0
-            idx, values = idx[keep], values[keep]
-        row[idx] = values
-    return vocab, np.array([math.log(len(tf) / d) for d in df[kept].tolist()]), tf
+    rows = len(corpus.sample_ids)
+    tf = np.zeros((rows, len(vocab)), dtype=np.float64)
+    ptr = corpus.indptr
+    lengths = np.diff(ptr)
+    r0 = 0
+    while r0 < rows:
+        # Rows r0..r1-1 hold at most _TF_BLOCK entries, or r1 = r0 + 1.
+        r1 = max(int(np.searchsorted(ptr, ptr[r0] + _TF_BLOCK, side="right")) - 1, r0 + 1)
+        a, b = ptr[r0], ptr[r1]
+        if a < b:
+            counts = corpus.counts[a:b]
+            block_lengths = lengths[r0:r1]
+            filled = block_lengths > 0  # reduceat sums no empty segment
+            sums = np.add.reduceat(counts, ptr[r0:r1][filled] - a)
+            values = counts / np.repeat(sums, block_lengths[filled])
+            row_ids = np.repeat(np.arange(r0, r1), block_lengths)
+            idx = corpus.indices[a:b]
+            if col is not None:
+                idx = col[idx]
+                keep = idx >= 0
+                row_ids, idx, values = row_ids[keep], idx[keep], values[keep]
+            tf[row_ids, idx] = values
+        r0 = r1
+    return vocab, np.array([math.log(rows / d) for d in df[kept].tolist()]), tf
 
 
 def _minmax_in_place(m: np.ndarray) -> None:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import re
+import stat
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -399,17 +400,72 @@ def _numbered_lines(path: str | Path, start: int, stop: int | None) -> Iterator[
         raise ConfigError(f"cannot read record file {str(path)!r}: {exc}") from exc
 
 
+# Bytes _entry_bound reads, or column ids _remap_in_place maps, at a time:
+# small beside a records file, so neither shows in the reader's peak.
+_BLOCK = 1 << 16
+
+
+def _entry_bound(path: str | Path, start: int) -> int:
+    """How many b":" lie from byte start to the end of path: at least the
+    count entries of the valid lines there, since each member of a JSON
+    object has one ":" outside its strings. Counted through one _BLOCK
+    buffer. 0 when path is not a regular file that opens and seeks (the
+    open never waits on a FIFO), so the read names the error."""
+    try:
+        with open(path, "rb", buffering=0, opener=lambda name, flags: os.open(
+                name, flags | getattr(os, "O_NONBLOCK", 0))) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return 0
+            fh.seek(start)
+            buf = bytearray(_BLOCK)
+            view = np.frombuffer(buf, dtype=np.uint8)
+            colons = 0
+            while n := fh.readinto(buf):
+                colons += int(np.count_nonzero(view[:n] == ord(":")))
+            return colons
+    except OSError:
+        return 0
+
+
+def _entry_arrays(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for size count entries: column ids (int32) and counts (int64).
+    The records reader allocates these arrays nowhere else."""
+    return np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int64)
+
+
+def _grown(indices: np.ndarray, counts: np.ndarray, used: int,
+           size: int) -> tuple[np.ndarray, np.ndarray]:
+    """New _entry_arrays(size) holding the first used entries of these."""
+    more_indices, more_counts = _entry_arrays(size)
+    more_indices[:used] = indices[:used]
+    more_counts[:used] = counts[:used]
+    return more_indices, more_counts
+
+
+def _remap_in_place(ids: np.ndarray, remap: np.ndarray) -> None:
+    """ids[k] = remap[ids[k]], _BLOCK entries at a time: remap[ids] over the
+    whole array would hold an intp copy of ids and a second result array."""
+    for a in range(0, ids.size, _BLOCK):
+        block = ids[a:a + _BLOCK]
+        block[:] = remap[block]
+
+
 def _read_span(path: str | Path, start: int, stop: int | None) -> tuple:
     """Parse and check the lines _numbered_lines(path, start, stop) gives:
-    (sample ids, labels, call names in first-seen order, indptr from 0,
-    column ids into those names, counts), the last three array buffers.
-    A bad line is a ConfigError naming its number in the whole file."""
+    (sample ids, labels, call names in first-seen order, indptr from 0 as
+    an array buffer, column ids into those names, counts). The last two are
+    _entry_arrays sized by _entry_bound(path, start), which counts to the
+    end of the file, so a split read's caller has room for the child's
+    half; their first indptr[-1] entries are filled. A line that does not
+    fit (the file grew after it was counted) grows them once, at least
+    twofold. A bad line is a ConfigError naming its number in the whole
+    file."""
     sample_ids: list[str] = []
     labels: list[str] = []
     index: dict[str, int] = {}  # call name -> column id, in first-seen order
     indptr = array("q", [0])
-    indices = array("i")  # C int: np.int32
-    counts = array("q")
+    indices, counts = _entry_arrays(_entry_bound(path, start))
+    nnz = 0
     # Split at "\n" only (JSON skips a "\r"): strings may hold U+2028 etc.
     for k, line in _numbered_lines(path, start, stop):
         if not line.strip():
@@ -445,11 +501,14 @@ def _read_span(path: str | Path, start: int, stop: int | None) -> tuple:
             raise ConfigError(
                 f"bad record on line {k + _lines_before(path, start)} of {str(path)!r}: {exc}"
             ) from exc
+        if nnz + n > indices.size:
+            indices, counts = _grown(indices, counts, nnz, 2 * indices.size + n)
         sample_ids.append(sample_id)
         labels.append(label)
-        indices.frombytes(ids.tobytes())
-        counts.frombytes(values.tobytes())
-        indptr.append(len(counts))
+        indices[nnz:nnz + n] = ids
+        counts[nnz:nnz + n] = values
+        nnz += n
+        indptr.append(nnz)
     return sample_ids, labels, list(index), indptr, indices, counts
 
 
@@ -478,6 +537,11 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     second CPU or a lone thread, is read here by the same line parser; so
     is the whole file if the child ends without its result. The child is
     reaped before this returns or raises.
+
+    Each process allocates its column ids and counts once (_entry_arrays),
+    sized by a count of b":" from where it starts reading to the end of the
+    file, and remaps the column ids in place; a split read's caller reads
+    the child's half straight into its own arrays.
     """
     try:
         large = os.stat(path).st_size >= SPLIT_BYTES
@@ -491,11 +555,13 @@ def read_records_jsonl(path: str | Path) -> Corpus:
             return corpus
     sample_ids, labels, names, indptr, indices, counts = _read_span(path, 0, None)
     calls, (remap,) = _vocabulary(names)
+    nnz = indptr[-1]
+    _remap_in_place(indices[:nnz], remap)
     return Corpus(
         sample_ids=tuple(sample_ids),
         labels=tuple(labels),
         calls=calls,
         indptr=np.frombuffer(indptr, dtype=np.int64),
-        indices=remap[np.frombuffer(indices, dtype=np.int32)],
-        counts=np.frombuffer(counts, dtype=np.int64),
+        indices=indices[:nnz],
+        counts=counts[:nnz],
     )

@@ -25,33 +25,30 @@ def _join(first: tuple, pipe) -> ingest.Corpus:
     """The Corpus of first, ingest._read_span's result for the first half,
     and of the second half that the child wrote to pipe: its message when
     it found a bad line, else (sample ids, labels, names, number of counts)
-    pickled, then its indptr, indices and counts. The arrays are allocated
-    at their final size; the child's are read straight into them, and
-    first's are copied and let go one at a time."""
+    pickled, then its indptr, indices and counts. first's arrays have room
+    for the whole file, so the child's entries are read straight into them
+    after the first half's; they grow once only if the file grew after it
+    was counted. Column ids are remapped in place."""
     head = pickle.load(pipe)
     if isinstance(head, str):
         raise ConfigError(head)
     ids2, labels2, names2, nnz2 = head
-    ids1, labels1, names1, ptr1, idx1, cnt1 = first
-    del first
+    ids1, labels1, names1, ptr1, indices, counts = first
     calls, (remap1, remap2) = ingest._vocabulary(names1, names2)
-    n1, nnz1 = len(ids1), len(cnt1)
+    n1, nnz1 = len(ids1), ptr1[-1]
+    nnz = nnz1 + nnz2
+    if nnz > indices.size:
+        indices, counts = ingest._grown(indices, counts, nnz1, nnz)
     indptr = np.empty(n1 + len(ids2) + 1, dtype=np.int64)
     indptr[:n1] = np.frombuffer(ptr1, dtype=np.int64)[:-1]
-    del ptr1
     _fill(pipe, indptr[n1:])  # the child's starts at 0
     indptr[n1:] += nnz1
-    indices = np.empty(nnz1 + nnz2, dtype=np.int32)
-    np.take(remap1, np.frombuffer(idx1, dtype=np.int32), out=indices[:nnz1])
-    del idx1
-    _fill(pipe, indices[nnz1:])
-    np.take(remap2, indices[nnz1:], out=indices[nnz1:])
-    counts = np.empty(nnz1 + nnz2, dtype=np.int64)
-    counts[:nnz1] = np.frombuffer(cnt1, dtype=np.int64)
-    del cnt1
-    _fill(pipe, counts[nnz1:])
+    _fill(pipe, indices[nnz1:nnz])
+    _fill(pipe, counts[nnz1:nnz])
+    ingest._remap_in_place(indices[:nnz1], remap1)
+    ingest._remap_in_place(indices[nnz1:nnz], remap2)
     return ingest.Corpus(sample_ids=(*ids1, *ids2), labels=(*labels1, *labels2), calls=calls,
-                         indptr=indptr, indices=indices, counts=counts)
+                         indptr=indptr, indices=indices[:nnz], counts=counts[:nnz])
 
 
 def _split_point(path: str | Path) -> int | None:
@@ -74,8 +71,10 @@ def _write_span(path: str | Path, start: int, pipe) -> None:
     except ConfigError as exc:
         pickle.dump(str(exc), pipe)
     else:
-        pickle.dump((*span[:3], len(span[5])), pipe)
-        for buffer in span[3:]:
+        indptr, indices, counts = span[3:]
+        nnz = indptr[-1]
+        pickle.dump((*span[:3], nnz), pipe)
+        for buffer in (indptr, indices[:nnz], counts[:nnz]):
             pipe.write(buffer)
 
 

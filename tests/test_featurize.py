@@ -25,6 +25,7 @@ from callselect import (
     read_decision_table_csv,
 )
 
+from callselect import featurize
 from callselect.featurize import _BLOCK_ROWS, _minmax_in_place, _weight_cells
 from callselect.oracles import random_decision_table, reference_term_frequencies
 
@@ -345,6 +346,26 @@ def test_tf_fill_matches_per_count_reference():
         assert _same_bits(fvt.weights, minmax_columns(tf * idf)), case
         assert _same_bits(pair_fvt.weights, fvt.weights), case
         assert _same_bits(rel.weights, tf), case
+
+
+@pytest.mark.parametrize("block", [1, 4, 37, featurize._TF_BLOCK])
+def test_tf_blocks_match_per_count_reference(monkeypatch, block):
+    # Blocks of one row (block 1, or a row longer than the block), blocks
+    # that end on an empty row, and pruned columns inside a block.
+    monkeypatch.setattr(featurize, "_TF_BLOCK", block)
+    for case in range(40):
+        rng = np.random.default_rng(1000 + case)
+        records = _random_rows(rng) * int(rng.integers(1, 40))
+        if case % 4 == 0:  # one row holding more entries than the block
+            records[0] = _rec("wide", "M", {f"w{j}": j + 1 for j in range(block + 3)})
+        min_df = int(rng.integers(1, 4))
+        want_vocab, df, want_tf = reference_term_frequencies(records, min_df)
+        if not want_vocab:
+            continue
+        vocab, idf, tf = featurize._term_frequencies(_corpus(records), min_df)
+        assert vocab == tuple(want_vocab), case
+        assert _same_bits(tf, want_tf), case
+        assert idf.tolist() == [math.log(len(records) / df[c]) for c in vocab], case
 
 
 def _same_bits(a, b):
