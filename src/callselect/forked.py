@@ -1,8 +1,9 @@
 """Work on two processes: a child made with os.fork does its share and
 writes it to a pipe while the caller does the rest and then reads it.
-The records read (split_read), the trace-log parse (ingest.ingest_corpus)
-and the cross-validation sweep (evaluate.sweep_folds) import this only
-when they run, so importing the CLI never loads it."""
+The records read (ingest.read_records_jsonl), the trace-log parse
+(ingest.ingest_corpus) and the cross-validation sweep
+(evaluate.sweep_folds) import this only when they run, so importing the
+CLI never loads it."""
 from __future__ import annotations
 
 import gc

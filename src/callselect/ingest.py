@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import pickle
 import re
 import stat
 from array import array
@@ -235,6 +236,18 @@ def second_half_start(path: str | Path) -> int | None:
     return mid if mid < size else None
 
 
+def _cut(path: str | Path) -> tuple[int, int | None]:
+    """(path's size, where a second process starts reading it): the cut is
+    second_half_start for a size of at least SPLIT_BYTES, else None. The
+    size is read first, so a FIFO (size 0) is never opened. (0, None) when
+    path cannot be sized or cut; its read names the error."""
+    try:
+        size = os.stat(path).st_size
+        return size, second_half_start(path) if size >= SPLIT_BYTES else None
+    except OSError:
+        return 0, None
+
+
 def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
     """Parse every log named by (path, label, sample_id) rows, in order.
     The error is the first one met row by row: a sample_id seen before,
@@ -259,11 +272,7 @@ def ingest_corpus(manifest: Iterable[tuple[str, str, str]]) -> IngestResult:
     pieces: list[tuple[int, int, int | None]] = []  # (row, start, stop)
     size = 0
     for i, (path, _, _) in enumerate(rows):
-        try:
-            n = os.stat(path).st_size
-            mid = second_half_start(path) if n >= SPLIT_BYTES else None
-        except OSError:  # the piece's read names the error
-            n, mid = 0, None
+        n, mid = _cut(path)
         size += n
         pieces += [(i, 0, None)] if mid is None else [(i, 0, mid), (i, mid, None)]
 
@@ -520,6 +529,57 @@ def _vocabulary(*names: list[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
     return tuple(calls), [np.fromiter(map(col.__getitem__, n), np.int32, len(n)) for n in names]
 
 
+def _fill(pipe, out: np.ndarray) -> None:
+    """Read out's bytes from pipe; EOFError if the pipe ends first."""
+    if pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise EOFError("the pipe ended early")
+
+
+def _write_span(path: str | Path, start: int, pipe) -> None:
+    """The child's half for _join: the lines of path from start on, or the
+    message of their first bad line."""
+    try:
+        span = _read_span(path, start, None)
+    except ConfigError as exc:
+        pickle.dump(str(exc), pipe)
+    else:
+        indptr, indices, counts = span[3:]
+        nnz = indptr[-1]
+        pickle.dump((*span[:3], nnz), pipe)
+        for buffer in (indptr, indices[:nnz], counts[:nnz]):
+            pipe.write(buffer)
+
+
+def _join(first: tuple, pipe) -> Corpus:
+    """The Corpus of first, _read_span's result for the first half, and of
+    the second half that the child wrote to pipe (_write_span): its message
+    when it found a bad line, else (sample ids, labels, names, number of
+    counts) pickled, then its indptr, indices and counts. first's arrays
+    have room for the whole file, so the child's entries are read straight
+    into them after the first half's; they grow once only if the file grew
+    after it was counted. Column ids are remapped in place."""
+    head = pickle.load(pipe)
+    if isinstance(head, str):
+        raise ConfigError(head)
+    ids2, labels2, names2, nnz2 = head
+    ids1, labels1, names1, ptr1, indices, counts = first
+    calls, (remap1, remap2) = _vocabulary(names1, names2)
+    n1, nnz1 = len(ids1), ptr1[-1]
+    nnz = nnz1 + nnz2
+    if nnz > indices.size:
+        indices, counts = _grown(indices, counts, nnz1, nnz)
+    indptr = np.empty(n1 + len(ids2) + 1, dtype=np.int64)
+    indptr[:n1] = np.frombuffer(ptr1, dtype=np.int64)[:-1]
+    _fill(pipe, indptr[n1:])  # the child's starts at 0
+    indptr[n1:] += nnz1
+    _fill(pipe, indices[nnz1:nnz])
+    _fill(pipe, counts[nnz1:nnz])
+    _remap_in_place(indices[:nnz1], remap1)
+    _remap_in_place(indices[nnz1:nnz], remap2)
+    return Corpus(sample_ids=(*ids1, *ids2), labels=(*labels1, *labels2), calls=calls,
+                  indptr=indptr, indices=indices[:nnz], counts=counts[:nnz])
+
+
 def read_records_jsonl(path: str | Path) -> Corpus:
     """Read the write_records_jsonl layout; a bad line is a ConfigError naming it.
 
@@ -528,31 +588,32 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     true is an error, not 1 or 3. total is checked, not stored.
 
     A file of at least SPLIT_BYTES is cut in two after the first b"\\n" at
-    or after half its size, and a child made with os.fork parses the lines
-    that start in the second half while this process parses the first
-    (split_read.read_split). The child's memory is its own, outside this
-    process's RSS. The Corpus and the error are those of the one-process
-    read: the first bad line in file order wins, named by its line number
-    in the whole file. A smaller file, or a platform without os.fork, a
-    second CPU or a lone thread, is read here by the same line parser; so
-    is the whole file if the child ends without its result. The child is
-    reaped before this returns or raises.
+    or after half its size (_cut), and a child made with os.fork parses
+    the lines that start in the second half while this process parses the
+    first; forked.run_forked carries the child's rows back through a pipe
+    to _join. The child's memory is its own, outside this process's RSS.
+    The Corpus and the error are those of the one-process read: the first
+    bad line in file order wins, named by its line number in the whole
+    file. A smaller file, or a platform without os.fork, a second CPU or a
+    lone thread (forked.can_fork), is read here by the same line parser;
+    so is the whole file if the child ends without its result. The child
+    is reaped before this returns or raises. callselect.forked is imported
+    only for a file that is cut, so importing the CLI never loads it.
 
     Each process allocates its column ids and counts once (_entry_arrays),
     sized by a count of b":" from where it starts reading to the end of the
     file, and remaps the column ids in place; a split read's caller reads
     the child's half straight into its own arrays.
     """
-    try:
-        large = os.stat(path).st_size >= SPLIT_BYTES
-    except OSError:
-        large = False  # the in-process read names the error
-    if large:
-        from .split_read import read_split
+    _, mid = _cut(path)
+    if mid is not None:
+        from .forked import can_fork, run_forked
 
-        corpus = read_split(path)
-        if corpus is not None:
-            return corpus
+        if can_fork():
+            corpus = run_forked(lambda pipe: _write_span(path, mid, pipe),
+                                lambda pipe: _join(_read_span(path, 0, mid), pipe))
+            if corpus is not None:
+                return corpus
     sample_ids, labels, names, indptr, indices, counts = _read_span(path, 0, None)
     calls, (remap,) = _vocabulary(names)
     nnz = indptr[-1]

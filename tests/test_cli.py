@@ -766,7 +766,7 @@ def test_cli_import_loads_no_process_or_pool_module():
     # The split records read and what it forks with load only when a large file is read.
     src = str(Path(callselect.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import callselect.cli; "
-            "print(sorted(m for m in sys.modules if m == 'callselect.split_read' or "
+            "print(sorted(m for m in sys.modules if m == 'callselect.forked' or "
             "m.split('.')[0] in ('multiprocessing', 'concurrent', 'subprocess')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,6 @@ from callselect import (
     evaluate,
     ingest,
     read_records_jsonl,
-    split_read,
     write_records_jsonl,
 )
 from callselect.synth import default_spec, generate
@@ -68,7 +67,7 @@ def test_reader_peak_in_this_process_is_below_twice_the_file(records_file, monke
     # fill; the child's memory is its own and tracemalloc here cannot see it.
     monkeypatch.setattr(ingest, "SPLIT_BYTES", 0 if split else 1 << 62)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert not split or split_read._split_point(records_file) is not None
+    assert not split or ingest.second_half_start(records_file) is not None
     corpus, peak = _peak(lambda: read_records_jsonl(records_file))
     assert len(corpus.sample_ids) == 1000
     assert peak <= 1.75 * records_file.stat().st_size, peak / records_file.stat().st_size

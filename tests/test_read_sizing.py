@@ -14,7 +14,7 @@ import signal
 import numpy as np
 import pytest
 
-from callselect import ingest, read_records_jsonl, split_read
+from callselect import forked, ingest, read_records_jsonl
 
 from conftest import assert_same_corpus
 from test_split_read import SERIAL, SPLIT, _judge, _no_child_left
@@ -30,14 +30,14 @@ def _read(path, monkeypatch, split):
     """read_records_jsonl's Corpus; split, the two-process read must give
     it, not a read here after the child's result was lost."""
     monkeypatch.setattr(ingest, "SPLIT_BYTES", SPLIT if split else SERIAL)
-    read_split = split_read.read_split
+    run_forked = forked.run_forked
 
-    def whole(path):
-        corpus = read_split(path)
+    def whole(child, caller):
+        corpus = run_forked(child, caller)
         assert corpus is not None, "the split read fell back to one process"
         return corpus
 
-    monkeypatch.setattr(split_read, "read_split", whole)
+    monkeypatch.setattr(forked, "run_forked", whole)
     try:
         return read_records_jsonl(path)
     finally:
@@ -83,7 +83,7 @@ def test_reads_equal_the_judge_on_random_files(tmp_path, monkeypatch, seed, bloc
     path = tmp_path / "records.jsonl"
     _random_file(np.random.default_rng(seed), path)
     if split:
-        assert split_read._split_point(path) is not None
+        assert ingest.second_half_start(path) is not None
     corpus = _read(path, monkeypatch, split)
     assert_same_corpus(corpus, _judge(path))
     assert (corpus.indptr.dtype, corpus.indices.dtype, corpus.counts.dtype) == (

@@ -7,20 +7,25 @@ field by field, with lines of every awkward kind at the cut; every error
 must carry the one-process message, and no read may leave a child
 behind."""
 
+import io
 import json
 import os
+import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import callselect
 from callselect import (
     CallCountRecord,
     ConfigError,
     Corpus,
     ingest,
     read_records_jsonl,
-    split_read,
     write_records_jsonl,
 )
 from callselect.synth import default_spec, generate
@@ -68,7 +73,7 @@ def _judge(path) -> Corpus:
 
 def _assert_split_is_serial(path, monkeypatch, splits=True):
     """Split and one-process reads agree; the returned result is the split's."""
-    assert (split_read._split_point(path) is not None) == splits
+    assert (ingest.second_half_start(path) is not None) == splits
     serial = _read(path, monkeypatch, SERIAL)
     split = _read(path, monkeypatch, SPLIT)
     if isinstance(serial, str):
@@ -119,7 +124,7 @@ def test_line_ending_the_first_half(tmp_path, monkeypatch, line):
     rest = half.replace(b'"a', b'"b')
     path = tmp_path / "records.jsonl"
     path.write_bytes(half + line + rest)
-    assert split_read._split_point(path) == len(half) + len(line)
+    assert ingest.second_half_start(path) == len(half) + len(line)
     assert_same_corpus(_assert_split_is_serial(path, monkeypatch), _judge(path))
 
 
@@ -131,7 +136,7 @@ def test_line_starting_the_second_half(tmp_path, monkeypatch, line, final_newlin
     tail = line + _row("z", _COMMON).encode() + (b"\n" if final_newline else b"")
     path = tmp_path / "records.jsonl"
     path.write_bytes(pad + tail)
-    assert split_read._split_point(path) == len(pad)
+    assert ingest.second_half_start(path) == len(pad)
     assert_same_corpus(_assert_split_is_serial(path, monkeypatch), _judge(path))
 
 
@@ -139,7 +144,7 @@ def test_last_line_without_newline_alone_in_the_second_half(tmp_path, monkeypatc
     pad = _row("pad" * 200, _COMMON).encode() + b"\n"
     path = tmp_path / "records.jsonl"
     path.write_bytes(pad + _row("last", {"exit": 1}).encode())
-    assert split_read._split_point(path) == len(pad)
+    assert ingest.second_half_start(path) == len(pad)
     assert_same_corpus(_assert_split_is_serial(path, monkeypatch), _judge(path))
 
 
@@ -173,6 +178,24 @@ def test_split_error_is_the_serial_error(tmp_path, monkeypatch, capfd, content, 
     assert capfd.readouterr() == ("", "")  # the child wrote nothing
 
 
+def test_child_error_is_raised_without_a_second_read_here(tmp_path, monkeypatch):
+    # The first half is read here, the second in the child; neither again.
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(_PAD + _GOOD + b"not json\n" + _GOOD)
+    spans = []
+    read_span = ingest._read_span
+
+    def recorded(path, start, stop):
+        spans.append((start, stop))
+        return read_span(path, start, stop)
+
+    monkeypatch.setattr(ingest, "_read_span", recorded)
+    with pytest.raises(ConfigError, match="bad record on line 3 of "):
+        read_records_jsonl(path)
+    _no_child_left()
+    assert spans == [(0, len(_PAD))]
+
+
 def _spans_patched(monkeypatch, child):
     """_read_span with child(path, start) run first in the child (start > 0)."""
     read_span = ingest._read_span
@@ -189,6 +212,28 @@ def test_child_that_ends_without_its_result_leaves_the_read_here(tmp_path, monke
     path = tmp_path / "records.jsonl"
     write_records_jsonl(generate(default_spec(samples_per_class=20, vocabulary_size=9))[0], path)
     _spans_patched(monkeypatch, lambda path, start: os._exit(3))
+    assert_same_corpus(_read(path, monkeypatch, SPLIT), _judge(path))
+
+
+@pytest.mark.parametrize("keep", [0, 0.5, 0.99])
+def test_child_that_ends_inside_its_arrays_leaves_the_read_here(tmp_path, monkeypatch, keep):
+    # The child sends its head and the first keep of its array bytes, then
+    # ends: the arrays' short read must not pass for the child's rows.
+    path = tmp_path / "records.jsonl"
+    write_records_jsonl(generate(default_spec(samples_per_class=20, vocabulary_size=9))[0], path)
+    write_span = ingest._write_span
+
+    def cut_short(path, start, pipe):
+        sent = io.BytesIO()
+        write_span(path, start, sent)
+        sent.seek(0)
+        pickle.load(sent)
+        head, data = sent.tell(), sent.getvalue()
+        pipe.write(data[:head + int(keep * (len(data) - head))])
+        pipe.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(ingest, "_write_span", cut_short)
     assert_same_corpus(_read(path, monkeypatch, SPLIT), _judge(path))
 
 
@@ -211,9 +256,51 @@ def test_interrupted_read_kills_and_reaps_the_child(tmp_path, monkeypatch):
     def interrupted(first, pipe):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(split_read, "_join", interrupted)
+    monkeypatch.setattr(ingest, "_join", interrupted)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         read_records_jsonl(path)
     assert time.perf_counter() - t0 < 30
     _no_child_left()
+
+
+# ---- where the read forks ----
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that called os.fork during the test."""
+    callers = []
+    fork = os.fork
+
+    def counted():
+        callers.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return callers
+
+
+@pytest.mark.parametrize("below", [0, 1], ids=["exactly", "one-byte-below"])
+def test_file_of_split_bytes_forks_once_and_one_byte_less_never(tmp_path, monkeypatch, forks,
+                                                                  below):
+    path = tmp_path / "records.jsonl"
+    write_records_jsonl(generate(default_spec(samples_per_class=20, vocabulary_size=9))[0], path)
+    assert ingest.second_half_start(path) is not None
+    size = path.stat().st_size
+    assert_same_corpus(_read(path, monkeypatch, size + below), _judge(path))
+    assert forks == [os.getpid()] * (1 - below)
+
+
+@pytest.mark.parametrize("split_bytes, loaded", [(ingest.SPLIT_BYTES, False), (0, True)],
+                         ids=["small", "cut"])
+def test_only_a_cut_read_loads_the_fork_helper(tmp_path, split_bytes, loaded):
+    # A fresh interpreter: this one may have loaded callselect.forked already.
+    path = tmp_path / "records.jsonl"
+    write_records_jsonl(generate(default_spec(samples_per_class=20, vocabulary_size=9))[0], path)
+    src = str(Path(callselect.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import callselect.cli; "
+            f"from callselect import ingest; ingest.SPLIT_BYTES = {split_bytes}; "
+            f"ingest.read_records_jsonl({str(path)!r}); print('callselect.forked' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
