@@ -85,6 +85,13 @@ def _parse_lengths(text: str) -> list[int]:
     return out
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's generators take no negative seed."""
+    if (seed := int(text)) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _cmd_ingest(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +339,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--out", required=True, help="selection report JSON path")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--alpha", type=float, default=ztest.DEFAULT_ALPHA)
     p.add_argument("--z-crit", type=float)
     p.add_argument("--sigma-as-stddev", action="store_true",
@@ -340,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z-candidates", choices=("reduct", "all"), default="reduct")
     p.add_argument("--z-weights", choices=("tfidf", "relfreq"), default="tfidf")
     p.add_argument("--min-df", type=int, default=DEFAULT_MIN_DF)
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k", type=int, help="ig, chi, su keep k calls; rsst, roughset record k")
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("eval", help="cross-validated sweep over ranking prefixes")
@@ -350,7 +357,7 @@ def build_parser() -> _Parser:
                    help="comma separated prefix lengths")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="optional CSV mirror of the report")
-    p.add_argument("--seed", type=int, default=evaluate.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=evaluate.DEFAULT_SEED)
     p.add_argument("--folds", type=int, default=evaluate.DEFAULT_FOLDS)
     p.add_argument("--trees", type=int, default=DEFAULT_TREES)
     p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
@@ -365,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--planted-benign", type=int)
     p.add_argument("--effect-size", type=float)
     p.add_argument("--noise-std", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -373,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tables", type=int, default=25)
     p.add_argument("--subsets", type=int, default=10)
     p.add_argument("--reduct-tables", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -113,6 +113,8 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[np.ndarra
     per-fold class counts stay within one sample of n_class/k.
     """
     _check_fold_count(k)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     labels = list(labels)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]

@@ -19,7 +19,7 @@ from .errors import ConfigError
 T = TypeVar("T")
 
 
-def can_fork() -> bool:
+def _can_fork() -> bool:
     """Whether a forked child could share the work: os.fork exists, this
     process may run on a second CPU, and no thread other than this one
     runs (a forked child holds only the forking thread; the children here
@@ -30,12 +30,14 @@ def can_fork() -> bool:
 
 def run_forked(child: Callable[[BinaryIO], None], caller: Callable[[BinaryIO], T]) -> T | None:
     """caller(pipe)'s result, where pipe reads what child(pipe) writes in a
-    child made with os.fork. None when os.fork fails or the child ends
-    without its result (caller meets EOFError or pickle.UnpicklingError),
-    so the caller does the work alone. The child writes to the pipe only,
-    runs with the cycle collector off and leaves by os._exit. When caller
-    raises, the child is killed; it is reaped before this returns or
-    raises."""
+    child made with os.fork. None, calling neither, when _can_fork is
+    false; None when os.fork fails or the child ends without its result
+    (caller meets EOFError or pickle.UnpicklingError), so the caller does
+    the work alone. The child writes to the pipe only, runs with the cycle
+    collector off and leaves by os._exit. When caller raises, the child is
+    killed; it is reaped before this returns or raises."""
+    if not _can_fork():
+        return None
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
@@ -87,13 +89,13 @@ def _run(fn: Callable[[int], T], jobs, results: list, parent: int | None = None)
 def map_jobs(fn: Callable[[int], T], count: int) -> list[T]:
     """[fn(0), ..., fn(count - 1)] for an fn that returns no None, reads no
     other job's result and raises the same ConfigError when run again.
-    With 2 or more jobs and can_fork, a forked child computes the odd jobs
+    With 2 or more jobs, a child forked by run_forked computes the odd jobs
     and pickles them back. Each process stops at its first ConfigError;
     then every job still missing runs here in order, so the first failing
     job raises its error, as the serial loop would, and jobs a child left
-    undone (it failed to start or ended without its result) are done."""
+    undone (none was forked, or it ended without its result) are done."""
     results: list = [None] * count
-    if count >= 2 and can_fork():
+    if count >= 2:
         parent = os.getpid()
 
         def child(pipe):

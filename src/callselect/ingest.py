@@ -213,9 +213,9 @@ def parse_log_detailed(
 
 
 # Records files and trace logs of at least this many bytes are cut in two
-# (second_half_start) and parsed by two processes at once where os.fork
-# may (forked.can_fork); ingest_corpus also forks for a manifest whose logs
-# hold this many bytes in all. Measured on 2 cores in a 100 MB process
+# (second_half_start) and handed to forked, which parses them on two
+# processes where it may fork; ingest_corpus also hands it a manifest whose
+# logs hold this many bytes in all. Measured on 2 cores in a 100 MB process
 # (median of 15, one process against two): records files 128 KiB 3.8
 # against 7.6 ms, 512 KiB 14.4 against 14.9 ms, 1 MiB 37.5 against
 # 32.4 ms; one trace log 128 KiB 6.2 against 9.1 ms, 512 KiB 12.0 against
@@ -521,14 +521,6 @@ def _read_span(path: str | Path, start: int, stop: int | None) -> tuple:
     return sample_ids, labels, list(index), indptr, indices, counts
 
 
-def _vocabulary(*names: list[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """The sorted union of the name lists, and for each list the position
-    of each of its names in that union."""
-    calls = sorted(set().union(*names))
-    col = {name: j for j, name in enumerate(calls)}
-    return tuple(calls), [np.fromiter(map(col.__getitem__, n), np.int32, len(n)) for n in names]
-
-
 def _fill(pipe, out: np.ndarray) -> None:
     """Read out's bytes from pipe; EOFError if the pipe ends first."""
     if pipe.readinto(memoryview(out).cast("B")) != out.nbytes:
@@ -545,38 +537,44 @@ def _write_span(path: str | Path, start: int, pipe) -> None:
     else:
         indptr, indices, counts = span[3:]
         nnz = indptr[-1]
-        pickle.dump((*span[:3], nnz), pipe)
+        pickle.dump(span[:3], pipe)
         for buffer in (indptr, indices[:nnz], counts[:nnz]):
             pipe.write(buffer)
 
 
-def _join(first: tuple, pipe) -> Corpus:
-    """The Corpus of first, _read_span's result for the first half, and of
-    the second half that the child wrote to pipe (_write_span): its message
-    when it found a bad line, else (sample ids, labels, names, number of
-    counts) pickled, then its indptr, indices and counts. first's arrays
-    have room for the whole file, so the child's entries are read straight
-    into them after the first half's; they grow once only if the file grew
-    after it was counted. Column ids are remapped in place."""
-    head = pickle.load(pipe)
-    if isinstance(head, str):
-        raise ConfigError(head)
-    ids2, labels2, names2, nnz2 = head
-    ids1, labels1, names1, ptr1, indices, counts = first
-    calls, (remap1, remap2) = _vocabulary(names1, names2)
-    n1, nnz1 = len(ids1), ptr1[-1]
-    nnz = nnz1 + nnz2
-    if nnz > indices.size:
-        indices, counts = _grown(indices, counts, nnz1, nnz)
-    indptr = np.empty(n1 + len(ids2) + 1, dtype=np.int64)
-    indptr[:n1] = np.frombuffer(ptr1, dtype=np.int64)[:-1]
-    _fill(pipe, indptr[n1:])  # the child's starts at 0
-    indptr[n1:] += nnz1
-    _fill(pipe, indices[nnz1:nnz])
-    _fill(pipe, counts[nnz1:nnz])
-    _remap_in_place(indices[:nnz1], remap1)
-    _remap_in_place(indices[nnz1:nnz], remap2)
-    return Corpus(sample_ids=(*ids1, *ids2), labels=(*labels1, *labels2), calls=calls,
+def _join(first: tuple, pipe=None) -> Corpus:
+    """The Corpus of first, _read_span's result for the whole file or, given
+    pipe, for the first half. The child wrote the second half to pipe
+    (_write_span): its message when it found a bad line, else (sample ids,
+    labels, names) pickled, then its indptr, indices and counts. first's
+    arrays have room for the whole file, so the child's entries are read
+    straight into them; they grow once only if the file grew after it was
+    counted. Column ids are remapped in place to the sorted names."""
+    ids1, labels1, names1, indptr, indices, counts = first
+    ids2, labels2, names2 = (), (), ()  # the child's half
+    indptr = np.frombuffer(indptr, dtype=np.int64)
+    nnz1 = nnz = int(indptr[-1])
+    if pipe is not None:
+        head = pickle.load(pipe)
+        if isinstance(head, str):
+            raise ConfigError(head)
+        ids2, labels2, names2 = head
+        n1 = len(ids1)
+        ptr1, indptr = indptr, np.empty(n1 + len(ids2) + 1, dtype=np.int64)
+        indptr[:n1] = ptr1[:-1]
+        _fill(pipe, indptr[n1:])  # the child's starts at 0
+        nnz += int(indptr[-1])
+        indptr[n1:] += nnz1
+        if nnz > indices.size:
+            indices, counts = _grown(indices, counts, nnz1, nnz)
+        _fill(pipe, indices[nnz1:nnz])
+        _fill(pipe, counts[nnz1:nnz])
+    calls = sorted({*names1, *names2})
+    col = {name: j for j, name in enumerate(calls)}
+    for names, a, b in ((names1, 0, nnz1), (names2, nnz1, nnz)):
+        remap = np.fromiter(map(col.__getitem__, names), np.int32, len(names))
+        _remap_in_place(indices[a:b], remap)
+    return Corpus(sample_ids=(*ids1, *ids2), labels=(*labels1, *labels2), calls=tuple(calls),
                   indptr=indptr, indices=indices[:nnz], counts=counts[:nnz])
 
 
@@ -594,11 +592,11 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     to _join. The child's memory is its own, outside this process's RSS.
     The Corpus and the error are those of the one-process read: the first
     bad line in file order wins, named by its line number in the whole
-    file. A smaller file, or a platform without os.fork, a second CPU or a
-    lone thread (forked.can_fork), is read here by the same line parser;
-    so is the whole file if the child ends without its result. The child
-    is reaped before this returns or raises. callselect.forked is imported
-    only for a file that is cut, so importing the CLI never loads it.
+    file. A smaller file is read here by the same line parser and _join,
+    as is the whole file when run_forked forks no child or the child ends
+    without its result. The child is reaped before this returns or raises.
+    callselect.forked is imported only for a file that is cut, so
+    importing the CLI never loads it.
 
     Each process allocates its column ids and counts once (_entry_arrays),
     sized by a count of b":" from where it starts reading to the end of the
@@ -607,22 +605,10 @@ def read_records_jsonl(path: str | Path) -> Corpus:
     """
     _, mid = _cut(path)
     if mid is not None:
-        from .forked import can_fork, run_forked
+        from .forked import run_forked
 
-        if can_fork():
-            corpus = run_forked(lambda pipe: _write_span(path, mid, pipe),
-                                lambda pipe: _join(_read_span(path, 0, mid), pipe))
-            if corpus is not None:
-                return corpus
-    sample_ids, labels, names, indptr, indices, counts = _read_span(path, 0, None)
-    calls, (remap,) = _vocabulary(names)
-    nnz = indptr[-1]
-    _remap_in_place(indices[:nnz], remap)
-    return Corpus(
-        sample_ids=tuple(sample_ids),
-        labels=tuple(labels),
-        calls=calls,
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        indices=indices[:nnz],
-        counts=counts[:nnz],
-    )
+        corpus = run_forked(lambda pipe: _write_span(path, mid, pipe),
+                            lambda pipe: _join(_read_span(path, 0, mid), pipe))
+        if corpus is not None:
+            return corpus
+    return _join(_read_span(path, 0, None))

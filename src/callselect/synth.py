@@ -42,6 +42,8 @@ class SynthSpec:
             raise ConfigError(f"effect_size must be finite and >= 0, got {self.effect_size}")
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         vocab = set(vocabulary(self))
         mal = set(self.planted_malware_calls)
         ben = set(self.planted_benign_calls)

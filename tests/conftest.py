@@ -1,7 +1,11 @@
 """Shared fixtures: the seven-sample golden decision table, a corpus
-comparison, a corpus's written rows and the hypothesis profile."""
+comparison, a corpus's written rows, a second running thread, the check
+that no test leaves a child process behind and the hypothesis profile."""
 
+import contextlib
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +37,29 @@ def written_rows(corpus: Corpus, path) -> list[dict]:
     back with json.loads: plain dicts, read without the CSR arrays."""
     write_records_jsonl(corpus, path)
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test, also one that forks only through eval's sweep, ends with
+    each child it made reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second Python thread runs inside the block, so no fork may be made."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
 
 
 # Three calls, seven samples. Known by hand:

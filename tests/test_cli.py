@@ -734,6 +734,33 @@ def test_oracle_check_rejects_negative_counts(capsys, option):
     assert json.loads(err) == {"error": "ConfigError", "message": f"{option} must be >= 0, got -2"}
 
 
+@pytest.mark.parametrize("command", ["synth", "select", "eval", "oracle-check"])
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_seed_must_not_be_negative(capsys, tmp_path, command, seed):
+    # numpy's generators take no negative seed; the parser refuses it
+    # before any input is read (none of these inputs exists)
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out" / "o.json")
+    argv = {
+        "synth": ["--out-dir", str(tmp_path / "out")],
+        "select": ["--records", missing, "--method", "rsst", "--out", out],
+        "eval": ["--records", missing, "--selection", missing, "--lengths", "1", "--out", out],
+        "oracle-check": [],
+    }[command]
+    code, stdout, err = _run(capsys, command, *argv, "--seed", seed)
+    assert (code, stdout) == (2, "")
+    assert json.loads(err) == {"error": "ConfigError", "message": f"--seed must be >= 0, got {seed}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "+7", " 12 "])
+def test_valid_seed_parses_to_the_same_int(seed):
+    parse = build_parser().parse_args
+    for argv in (["synth", "--out-dir", "o"], ["oracle-check"],
+                 ["select", "--records", "r", "--method", "rsst", "--out", "o"],
+                 ["eval", "--records", "r", "--selection", "s", "--lengths", "1", "--out", "o"]):
+        assert parse([*argv, "--seed", seed]).seed == int(seed)
+
+
 def test_unknown_method_is_usage_error(capsys, tmp_path):
     code, out, err = _run(
         capsys,

@@ -87,6 +87,11 @@ def test_folds_k_bounds():
         stratified_folds(["M", "B"], k=1, seed=0)
 
 
+def test_folds_refuse_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        stratified_folds(["M", "B"] * 2, k=2, seed=-1)
+
+
 def test_folds_deterministic_per_seed():
     labels = ["M"] * 12 + ["B"] * 12
     a = stratified_folds(labels, k=4, seed=7)

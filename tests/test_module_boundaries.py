@@ -70,12 +70,13 @@ def test_no_module_uses_another_modules_private_names():
     ("from . import ingest as ig\nig._BLOCK", "cli", [(2, "ingest", "_BLOCK")]),
     ("import callselect.ingest as ig\nig._BLOCK", "cli", [(2, "ingest", "_BLOCK")]),
     ("import callselect.ingest\ncallselect.ingest._cut(p)", "cli", [(2, "ingest", "_cut")]),
+    ("from .forked import _can_fork", "ingest", [(1, "forked", "_can_fork")]),
     ("from .forest import _Draws, _gini", "oracles", []),  # the one exception
     ("from .ingest import _cut\n_cut(p)", "ingest", []),  # its own names
     ("from . import ingest\ningest.__name__, ingest.Corpus", "cli", []),
     ("from collections import _chain\nimport os\nos._exit(0)", "cli", []),
 ], ids=["from-import", "absolute-from-import", "attribute", "aliased-module",
-        "import-as", "dotted-attribute", "oracles-forest", "own-module", "public-and-dunder",
-        "other-package"])
+        "import-as", "dotted-attribute", "fork-gate", "oracles-forest", "own-module",
+        "public-and-dunder", "other-package"])
 def test_guard_finds_each_way_in(source, module, want):
     assert private_uses(source, module) == want

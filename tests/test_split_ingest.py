@@ -25,7 +25,7 @@ from callselect.cli import main
 from callselect.ingest import LINE_KINDS
 from callselect.oracles import reference_parse_line
 
-from conftest import assert_same_corpus
+from conftest import another_thread, assert_same_corpus
 from test_ingest import _BODIES, _LINE_ENDS, _PINNED_INGEST, _PREFIXES, _write_strace_corpus
 
 SERIAL, SPLIT = 1 << 62, 0  # SPLIT_BYTES that never and always splits
@@ -342,6 +342,22 @@ def test_child_exiting_early_gives_the_serial_result(tmp_path, monkeypatch, fork
     monkeypatch.setattr(ingest, "_tally", dying_tally)
     _assert_same(_ingest(rows, monkeypatch, SPLIT), serial)
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("closed_by", ["one-cpu", "another-thread"])
+def test_cut_logs_are_parsed_here_when_no_child_may_be_forked(tmp_path, monkeypatch, forks,
+                                                                cuts, closed_by):
+    paths = _logs(tmp_path, 4)
+    rows = [(p, "MB"[i % 2], f"s{i}") for i, p in enumerate(paths)]
+    serial = _ingest(rows, monkeypatch, SERIAL)
+    if closed_by == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        got = _ingest(rows, monkeypatch, SPLIT)
+    else:
+        with another_thread():
+            got = _ingest(rows, monkeypatch, SPLIT)
+    assert sorted(cuts) == sorted(paths) and forks == []
+    _assert_same(got, serial)
 
 
 def test_small_manifest_never_forks(tmp_path, monkeypatch, cuts):

@@ -30,7 +30,7 @@ from callselect import (
 )
 from callselect.synth import default_spec, generate
 
-from conftest import assert_same_corpus
+from conftest import another_thread, assert_same_corpus
 from test_featurize import _corpus, _random_rows
 
 SERIAL, SPLIT = 1 << 62, 0  # SPLIT_BYTES that never and always splits
@@ -289,6 +289,23 @@ def test_file_of_split_bytes_forks_once_and_one_byte_less_never(tmp_path, monkey
     size = path.stat().st_size
     assert_same_corpus(_read(path, monkeypatch, size + below), _judge(path))
     assert forks == [os.getpid()] * (1 - below)
+
+
+@pytest.mark.parametrize("closed_by", ["one-cpu", "another-thread"])
+def test_cut_file_is_read_here_when_no_child_may_be_forked(tmp_path, monkeypatch, forks,
+                                                             closed_by):
+    path = tmp_path / "records.jsonl"
+    write_records_jsonl(generate(default_spec(samples_per_class=20, vocabulary_size=9))[0], path)
+    assert ingest.second_half_start(path) is not None
+    serial = _read(path, monkeypatch, SERIAL)
+    if closed_by == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        got = _read(path, monkeypatch, SPLIT)
+    else:
+        with another_thread():
+            got = _read(path, monkeypatch, SPLIT)
+    assert forks == []
+    assert_same_corpus(got, serial)
 
 
 @pytest.mark.parametrize("split_bytes, loaded", [(ingest.SPLIT_BYTES, False), (0, True)],

@@ -7,6 +7,7 @@ with failing jobs and dying children; every error must carry the
 one-process message, and no sweep may leave a child behind, even when
 its caller is killed."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -20,6 +21,8 @@ import pytest
 
 import callselect
 from callselect import ConfigError, FeatureVectorTable, evaluate, forked, sweep, sweep_folds
+
+from conftest import another_thread
 
 
 def _no_child_left():
@@ -86,14 +89,24 @@ def test_split_sweep_equals_serial(cpus, seed, folds, lengths, trees):
                          max_depth=4),
            lambda: sweep_folds(fvt, [ranking] * folds, lengths, seed=seed, trees_count=trees,
                                max_depth=4)]
-    cpus(1)
+    forks = cpus(1)
     serial = [_outcome(fn) for fn in run]
+    assert forks == []
     forks = cpus(2)
     split = [_outcome(fn) for fn in run]
     assert len(forks) == 2
     assert json.dumps(split[0].to_json_dict()) == json.dumps(serial[0].to_json_dict())
     for (row, oof), (want_row, want_oof) in zip(split[1], serial[1], strict=True):
         assert row == want_row and np.array_equal(oof, want_oof)
+
+
+@pytest.mark.parametrize("closed_by", ["one-cpu", "another-thread"])
+def test_run_forked_calls_neither_function_when_no_child_may_be_forked(cpus, closed_by):
+    called = []
+    forks = cpus(1 if closed_by == "one-cpu" else 2)
+    with another_thread() if closed_by == "another-thread" else contextlib.nullcontext():
+        got = _outcome(lambda: forked.run_forked(called.append, called.append))
+    assert (got, called, forks) == (None, [], [])
 
 
 def _jobs(bad, die_at, parent, ran):

@@ -46,6 +46,8 @@ def test_spec_validation():
         _spec(planted_malware_calls=("c999",)).validate()
     with pytest.raises(ConfigError):
         _spec(noise_std=-1.0).validate()
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        _spec(seed=-1).validate()
 
 
 @pytest.mark.parametrize(
